@@ -17,7 +17,8 @@ tests/dns and tests/trace:
   "first two bytes are garbage" territory.
 
 :func:`run_fuzz` drives the never-crash targets (message parser,
-responder, trace readers, wire round-trip) outside pytest for
+responder, trace readers, wire round-trip, the querier's response
+decode) outside pytest for
 ``ldp-verify``: seeded, example-budgeted, no example database, so a
 CI conformance run is reproducible from its printed seed.
 
@@ -288,6 +289,39 @@ def _target_trace_text(line: str) -> None:
         pass
 
 
+def _target_response_decode(args) -> None:
+    """The querier's memoized response decode must agree with the full
+    parser on every blob, whatever response it decoded before: same
+    ``WireError`` verdict, same (id, flags, rcode, EDNS options).  The
+    warm-up blob is either unrelated or *blob* under another id, so both
+    the miss and the hit paths of the memo are exercised."""
+    from repro.dns.wire import WireError
+    from repro.replay.querier import ClientWire
+    blob, other, warm_id = args
+    warm = (other if other is not None
+            else warm_id.to_bytes(2, "big") + blob[2:])
+    wire = ClientWire()
+    try:
+        wire.decode_response(warm)
+    except WireError:
+        pass
+    try:
+        expected = Message.from_wire(blob)
+    except WireError:
+        expected = None
+    try:
+        msg_id, flags, rcode, edns = wire.decode_response(blob)
+    except WireError:
+        assert expected is None, "decode rejected what the parser took"
+        return
+    assert expected is not None, "decode took what the parser rejected"
+    assert (msg_id, flags, rcode) == (expected.msg_id, expected.flags,
+                                      expected.rcode)
+    assert (edns is None) == (expected.edns is None)
+    if edns is not None:
+        assert edns.options == expected.edns.options
+
+
 def _target_wire_round_trip(message: Message) -> None:
     back = Message.from_wire(message.to_wire())
     assert back.msg_id == message.msg_id
@@ -302,6 +336,10 @@ def fuzz_targets() -> dict:
         "responder": (st.tuples(hostile_wire(),
                                 st.sampled_from(("udp", "tcp"))),
                       _target_responder(_make_responder())),
+        "response_decode": (st.tuples(hostile_wire(),
+                                      st.none() | hostile_wire(),
+                                      st.integers(0, 0xFFFF)),
+                            _target_response_decode),
         "trace_binary": (hostile_trace_binary(), _target_trace_binary),
         "trace_text": (hostile_trace_lines(), _target_trace_text),
         "wire_round_trip": (dns_messages(), _target_wire_round_trip),
@@ -329,9 +367,13 @@ def run_fuzz(max_examples: int = 10_000, seed: int = 0,
             raise ValueError(f"unknown fuzz targets: {sorted(unknown)}")
         targets = {name: registry[name] for name in wanted}
     report = FuzzReport(seed=seed)
-    share = max(1, max_examples // max(1, len(targets)))
+    # An even split; the first targets take one more example each
+    # until the whole budget is used.
+    base, extra = divmod(max_examples, max(1, len(targets)))
     started = _time.monotonic()
-    for name, (strategy, target) in sorted(targets.items()):
+    for index, (name, (strategy, target)) in enumerate(
+            sorted(targets.items())):
+        share = max(1, base + (index < extra))
         if log is not None:
             log(f"fuzz {name}: {share} examples (seed {seed})")
         test = given(strategy)(target)

@@ -54,7 +54,8 @@ def _iter_pending(querier):
     """Yield every QueryResult awaiting a response, whichever backend's
     querier this is (sim transport maps or the live id map)."""
     if hasattr(querier, "_udp_pending"):            # sim Querier
-        yield from querier._udp_pending.values()
+        for pending in querier._udp_pending.values():
+            yield from pending.values()
         for channel in querier._tcp_channels.values():
             yield from channel.pending.values()
         for _conn, pending in querier._quic_conns.values():

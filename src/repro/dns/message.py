@@ -108,12 +108,13 @@ class Message:
     @classmethod
     def make_query(cls, qname: Name | str, qtype: int,
                    msg_id: int = 0, rd: bool = False,
-                   edns: Edns | None = None) -> "Message":
+                   edns: Edns | None = None,
+                   qclass: int = RRClass.IN) -> "Message":
         if isinstance(qname, str):
             qname = Name.from_text(qname)
         flags = Flag.RD if rd else Flag(0)
         return cls(msg_id=msg_id, flags=flags, edns=edns,
-                   question=Question(qname, qtype))
+                   question=Question(qname, qtype, qclass))
 
     def make_response(self) -> "Message":
         """A skeleton response echoing id, question, opcode, RD, and EDNS."""

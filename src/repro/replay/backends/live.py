@@ -38,14 +38,12 @@ import zlib
 from dataclasses import dataclass
 
 from repro.dns.constants import Flag
-from repro.dns.message import Message
 from repro.dns.wire import WireError
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.resources import ResourceMeter
 from repro.obs import Observer
 from repro.replay.backends.base import ReplayBackend
-from repro.replay.querier import (QueryResult, attach_cookie,
-                                  learn_cookie)
+from repro.replay.querier import ClientWire, QueryResult
 from repro.replay.timing import ReplayTimer
 from repro.server.responder import DnsResponder
 from repro.trace.pipeline import TracePipeline
@@ -293,11 +291,11 @@ class _ClientDatagramProtocol(asyncio.DatagramProtocol):
 
 @dataclass
 class _LiveChannel:
-    """One per-source TCP connection with its reader pump."""
+    """One per-source TCP connection (its reader pump is tracked in
+    :attr:`LiveQuerier._pumps`)."""
 
     reader: asyncio.StreamReader
     writer: asyncio.StreamWriter
-    pump: asyncio.Task | None = None
 
 
 class LiveQuerier:
@@ -313,7 +311,8 @@ class LiveQuerier:
                  query_timeout: float = 5.0, max_inflight: int = 256,
                  tcp_connection_cap: int = 64, resilience=None,
                  cookies: bool = False,
-                 observer: Observer | None = None):
+                 observer: Observer | None = None,
+                 query_wires: dict | None = None):
         self.name = name
         self.server_addr = server_addr
         self.server_port = server_port
@@ -323,8 +322,7 @@ class LiveQuerier:
         self.max_inflight = max(1, max_inflight)
         self.tcp_connection_cap = max(1, tcp_connection_cap)
         self.resilience = resilience
-        self.cookies = cookies
-        self._server_cookies: dict[str, bytes] = {}
+        self.wire = ClientWire(cookies, query_wires)
         self.observer = observer
         self.results: list[QueryResult] = []
         self.sent = 0
@@ -341,6 +339,9 @@ class LiveQuerier:
         self._epoch = 0.0
         self._udp_transport = None
         self._channels: dict[str, _LiveChannel] = {}
+        # Every reader pump ever started, including those of channels
+        # since evicted or dropped: _aclose reaps them all.
+        self._pumps: set[asyncio.Task] = set()
         self._pending: dict[int, tuple[QueryResult, asyncio.Future]] = {}
         self._msg_seq = 0
 
@@ -388,11 +389,7 @@ class LiveQuerier:
 
     async def _query(self, record, scheduled: float) -> None:
         msg_id = self._next_msg_id()
-        message = record.to_message()
-        message.msg_id = msg_id
-        if self.cookies:
-            attach_cookie(message, record.src, self._server_cookies)
-        wire = message.to_wire()
+        wire = self.wire.query(record, msg_id)
         now = self._loop.time() - self._epoch
         result = QueryResult(record=record, send_time=now,
                              scheduled_time=scheduled)
@@ -428,7 +425,7 @@ class LiveQuerier:
             wait = (policy.wait_for(result.attempts)
                     if policy is not None else self.query_timeout)
             try:
-                message, size = await asyncio.wait_for(
+                flags, rcode, edns, size = await asyncio.wait_for(
                     asyncio.shield(fut), wait)
             except asyncio.TimeoutError:
                 if policy is not None \
@@ -442,14 +439,14 @@ class LiveQuerier:
                 self._strand(result)
                 return
             if (policy is not None and policy.tcp_fallback
-                    and message.flags & Flag.TC and not result.fell_back):
+                    and flags & Flag.TC and not result.fell_back):
                 result.fell_back = True
                 self.tcp_fallbacks += 1
                 self._count("replay.tcp_fallbacks")
                 await self._fallback_tcp(record, wire, msg_id, result)
                 return
             self._note_recovered(result)
-            self._complete(result, message, size)
+            self._complete(result, rcode, edns, size)
             return
 
     async def _fallback_tcp(self, record, wire: bytes, msg_id: int,
@@ -464,13 +461,13 @@ class LiveQuerier:
         wait = (self.resilience.wait_for(result.attempts)
                 if self.resilience is not None else self.query_timeout)
         try:
-            message, size = await asyncio.wait_for(
+            _flags, rcode, edns, size = await asyncio.wait_for(
                 asyncio.shield(fut), wait)
         except asyncio.TimeoutError:
             self._strand(result)
             return
         self._note_recovered(result)
-        self._complete(result, message, size)
+        self._complete(result, rcode, edns, size)
 
     # -- TCP ----------------------------------------------------------------
 
@@ -483,13 +480,13 @@ class LiveQuerier:
         wait = (self.resilience.wait_for(result.attempts)
                 if self.resilience is not None else self.query_timeout)
         try:
-            message, size = await asyncio.wait_for(
+            _flags, rcode, edns, size = await asyncio.wait_for(
                 asyncio.shield(fut), wait)
         except asyncio.TimeoutError:
             self._strand(result)
             return
         self._note_recovered(result)
-        self._complete(result, message, size)
+        self._complete(result, rcode, edns, size)
 
     async def _send_framed(self, src: str, framed: bytes,
                            result: QueryResult) -> bool:
@@ -524,9 +521,17 @@ class LiveQuerier:
             self._close_channel(channel)
         reader, writer = await asyncio.open_connection(
             self.server_addr, self.server_port)
+        raced = self._channels.get(src)
+        if raced is not None and not raced.writer.is_closing():
+            # Another query from this source connected while this one
+            # waited: share that connection instead of orphaning it.
+            writer.close()
+            return raced
         channel = _LiveChannel(reader=reader, writer=writer)
-        channel.pump = asyncio.get_running_loop().create_task(
+        pump = asyncio.get_running_loop().create_task(
             self._pump_channel(channel))
+        self._pumps.add(pump)
+        pump.add_done_callback(self._pumps.discard)
         self._channels[src] = channel
         while len(self._channels) > self.tcp_connection_cap:
             # Evict the least-recently-used source's connection; its
@@ -565,17 +570,17 @@ class LiveQuerier:
 
     def _on_response_wire(self, payload: bytes) -> None:
         try:
-            message = Message.from_wire(payload)
+            msg_id, flags, rcode, edns = self.wire.decode_response(payload)
         except WireError:
             self.malformed += 1
             self._count("replay.malformed_responses")
             return
-        entry = self._pending.get(message.msg_id)
+        entry = self._pending.get(msg_id)
         if entry is None:
             return
         result, fut = entry
         if result.response_time is None and not fut.done():
-            fut.set_result((message, len(payload)))
+            fut.set_result((flags, rcode, edns, len(payload)))
 
     def _next_msg_id(self) -> int:
         for _ in range(0x10000):
@@ -602,14 +607,12 @@ class LiveQuerier:
             self.recovered += 1
             self._count("replay.recovered")
 
-    def _complete(self, result: QueryResult, message: Message,
+    def _complete(self, result: QueryResult, rcode: int, edns,
                   size: int) -> None:
         result.response_time = self._loop.time() - self._epoch
         result.response_size = size
-        result.rcode = message.rcode
-        if self.cookies:
-            learn_cookie(message, result.record.src,
-                         self._server_cookies)
+        result.rcode = rcode
+        self.wire.learn(result.record.src, edns)
         obs = self.observer
         if obs is not None:
             obs.metrics.counter("replay.responses").inc()
@@ -631,12 +634,14 @@ class LiveQuerier:
             self._udp_transport = None
         for channel in self._channels.values():
             self._close_channel(channel)
-        for channel in self._channels.values():
-            if channel.pump is not None:
-                with contextlib.suppress(asyncio.CancelledError,
-                                         Exception):
-                    await asyncio.wait_for(channel.pump, 1.0)
         self._channels.clear()
+        # The queries are over (answered, timed out or cancelled), so
+        # nothing is left to read: cancel every pump, evicted channels'
+        # included, and wait for them, so none outlives the loop.
+        pumps = list(self._pumps)
+        for pump in pumps:
+            pump.cancel()
+        await asyncio.gather(*pumps, return_exceptions=True)
 
     def latencies(self) -> list[float]:
         return [r.latency for r in self.results if r.latency is not None]
@@ -793,6 +798,7 @@ class LiveBackend(ReplayBackend):
         self.server = server
         config = self.config
         n = config.client_instances * config.queriers_per_instance
+        query_wires: dict = {}          # shared by every querier
         self.queriers = [
             LiveQuerier(
                 f"live-querier-{i}", live.host, server.port,
@@ -801,7 +807,7 @@ class LiveBackend(ReplayBackend):
                 max_inflight=live.max_inflight,
                 tcp_connection_cap=live.tcp_connection_cap,
                 resilience=config.resilience, cookies=config.cookies,
-                observer=self.observer)
+                observer=self.observer, query_wires=query_wires)
             for i in range(n)]
         parts = self._partition(records, n)
         cpu_start = time.process_time()

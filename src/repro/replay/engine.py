@@ -294,6 +294,7 @@ class ReplayEngine:
 
     def _build(self) -> None:
         config = self.config
+        query_wires: dict = {}          # shared by every querier
         if config.observe and self.sim.observer is None:
             self.sim.attach_observer(
                 Observer(trace_capacity=config.trace_capacity))
@@ -321,7 +322,8 @@ class ReplayEngine:
                     config=QuerierConfig(
                         jitter_seed=seed, nagle=config.nagle,
                         resilience=config.resilience,
-                        cookies=config.cookies)))
+                        cookies=config.cookies),
+                    query_wires=query_wires))
             self.queriers.extend(queriers)
             for querier in queriers:
                 self.sim.actors[querier.name] = querier

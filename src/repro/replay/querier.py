@@ -148,10 +148,10 @@ class _TcpChannel:
 
 def attach_cookie(message, src: str,
                   server_cookies: dict[str, bytes]) -> None:
-    """RFC 7873 client side, shared by both backends' queriers: put a
-    COOKIE option on *message* — the deterministic client cookie for
-    the emulated *src*, plus the server cookie previously learned from
-    that source's responses (none on first contact)."""
+    """RFC 7873 client side: put a COOKIE option on *message* — the
+    deterministic client cookie for the emulated *src*, plus the server
+    cookie previously learned from that source's responses (none on
+    first contact)."""
     from repro.dns.constants import EDNS_COOKIE
     from repro.dns.message import Edns, set_edns_option
     from repro.server.overload import client_cookie
@@ -165,17 +165,87 @@ def attach_cookie(message, src: str,
         message.edns.options, EDNS_COOKIE, cookie)
 
 
-def learn_cookie(message, src: str,
-                 server_cookies: dict[str, bytes]) -> None:
-    """Remember the server cookie echoed in a response so *src*'s next
-    query can prove it received this one (RFC 7873 §5.3)."""
+def learn_cookie(edns, src: str, server_cookies: dict[str, bytes]) -> None:
+    """Remember the server cookie echoed in a response's *edns* so
+    *src*'s next query can prove it received this one (RFC 7873 §5.3)."""
     from repro.dns.constants import EDNS_COOKIE
     from repro.dns.message import get_edns_option
-    if message.edns is None:
+    if edns is None:
         return
-    data = get_edns_option(message.edns.options, EDNS_COOKIE)
+    data = get_edns_option(edns.options, EDNS_COOKIE)
     if data is not None and 16 <= len(data) <= 40:
         server_cookies[src] = data[8:]
+
+
+# Questions a query-wire table holds; beyond this the oldest is
+# evicted first, as in the server's answer cache.
+QUERY_WIRE_CACHE_SIZE = 1024
+
+
+class ClientWire:
+    """The client side of the wire, shared by both backends' queriers:
+    query bytes for a trace record, and the fields a querier reads from
+    a response.  The client mirror of the server's answer cache.
+
+    * **Query wire** is precompiled per question — (qname, qtype,
+      qclass, rd, do, edns_payload) — as the wire minus its 2-byte
+      message id, so a send is the id followed by the stored tail.
+      A tail is a pure function of its key, so the queriers of one
+      replay share one table (*query_wires*), which keeps memory flat
+      however many queriers run.
+      With ``cookies`` on, every query carries per-source cookie
+      state, so it is built and encoded in full, and each response's
+      server cookie is learned (RFC 7873).  Server cookies are not
+      checkpointed: a resumed run re-learns them on first contact.
+    * **Response decode** runs the full parser, so a response is
+      rejected (``WireError``) exactly when ``Message.from_wire``
+      rejects it.  It remembers only the last successfully decoded
+      wire minus its id: an identical tail reuses the stored
+      ``(flags, rcode, edns)``.  One entry covers the case that
+      matters — a stream of identical answers — and keeps memory flat
+      (DESIGN.md §5).
+    """
+
+    def __init__(self, cookies: bool = False,
+                 query_wires: dict[tuple, bytes] | None = None):
+        self.cookies = cookies
+        self.server_cookies: dict[str, bytes] = {}
+        self.query_wires = query_wires if query_wires is not None else {}
+        self._last_tail: bytes | None = None
+        self._last: tuple = ()
+
+    def query(self, record: QueryRecord, msg_id: int) -> bytes:
+        """The wire of *record*'s query under message id *msg_id*."""
+        if self.cookies:
+            message = record.to_message()
+            message.msg_id = msg_id
+            attach_cookie(message, record.src, self.server_cookies)
+            return message.to_wire()
+        key = (record.qname, record.qtype, record.qclass, record.rd,
+               record.do, record.edns_payload)
+        queries = self.query_wires
+        tail = queries.get(key)
+        if tail is None:
+            tail = record.to_message().to_wire()[2:]
+            if len(queries) >= QUERY_WIRE_CACHE_SIZE:
+                del queries[next(iter(queries))]
+            queries[key] = tail
+        return msg_id.to_bytes(2, "big") + tail
+
+    def decode_response(self, payload: bytes) -> tuple:
+        """``(msg_id, flags, rcode, edns)`` of a response; raises
+        ``WireError`` for a malformed one (never memoized)."""
+        tail = payload[2:]
+        if tail != self._last_tail:
+            message = Message.from_wire(payload)
+            self._last = (message.flags, message.rcode, message.edns)
+            self._last_tail = tail
+        return (int.from_bytes(payload[:2], "big"), *self._last)
+
+    def learn(self, src: str, edns) -> None:
+        """Note a matched response from *src* (cookie runs only)."""
+        if self.cookies:
+            learn_cookie(edns, src, self.server_cookies)
 
 
 def _result_to_dict(result: QueryResult) -> dict:
@@ -196,7 +266,8 @@ class Querier:
     """One querier process on a client-instance host."""
 
     def __init__(self, host: Host, server_addr: str, name: str = "",
-                 config: QuerierConfig | None = None):
+                 config: QuerierConfig | None = None,
+                 query_wires: dict[tuple, bytes] | None = None):
         self.config = config = config or QuerierConfig()
         self.host = host
         self.server_addr = server_addr
@@ -206,11 +277,7 @@ class Querier:
         self.quic_port = config.quic_port
         self.nagle = config.nagle
         self.resilience = config.resilience
-        self.cookies = config.cookies
-        # Server cookies learned per emulated source (RFC 7873 §5.2);
-        # like the answer cache, deliberately not checkpointed — a
-        # resumed run re-learns on first contact.
-        self._server_cookies: dict[str, bytes] = {}
+        self.wire = ClientWire(config.cookies, query_wires)
         self.timer = ReplayTimer()
         self.sendpath = (SendPathModel(seed=config.jitter_seed)
                          if config.jitter_seed is not None
@@ -240,7 +307,8 @@ class Querier:
         self._backlog = 0
         self._send_timers: dict[int, object] = {}
         self._udp_socks: dict[str, object] = {}      # src -> UdpSocket
-        self._udp_pending: dict[tuple[str, int], QueryResult] = {}
+        # src -> {msg_id: result}: the ids taken on a source's socket.
+        self._udp_pending: dict[str, dict[int, QueryResult]] = {}
         self._udp_inflight: dict[tuple[str, int], _Inflight] = {}
         self._tcp_channels: dict[tuple[str, str], _TcpChannel] = {}
         # One QUIC client per emulated source: per-source sockets AND
@@ -334,8 +402,7 @@ class Querier:
 
     def _taken_ids(self, record: QueryRecord):
         if record.proto == "udp":
-            return {mid for (src, mid) in self._udp_pending
-                    if src == record.src}
+            return self._udp_pending.get(record.src, ())
         if record.proto == "quic":
             entry = self._quic_conns.get(record.src)
             return entry[1].keys() if entry is not None else ()
@@ -349,11 +416,7 @@ class Querier:
         msg_id = self._next_msg_id(self._taken_ids(record))
         if self.check is not None:
             self.check.on_msg_id(self, record, msg_id)
-        message = record.to_message()
-        message.msg_id = msg_id
-        if self.cookies:
-            attach_cookie(message, record.src, self._server_cookies)
-        wire = message.to_wire()
+        wire = self.wire.query(record, msg_id)
         now = self.host.scheduler.now
         result = QueryResult(record=record, send_time=now,
                              scheduled_time=scheduled)
@@ -401,8 +464,9 @@ class Querier:
             self._orphans.append(event.args[0])
         self._send_timers.clear()
         self._backlog = 0
-        for key, result in list(self._udp_pending.items()):
-            self._fail_over_result(result)
+        for pending in self._udp_pending.values():
+            for result in pending.values():
+                self._fail_over_result(result)
         for inflight in self._udp_inflight.values():
             inflight.cancel()
         self._udp_pending.clear()
@@ -482,7 +546,10 @@ class Querier:
                   result: QueryResult) -> None:
         sock = self._udp_socket_for(record.src)
         key = (record.src, msg_id)
-        self._udp_pending[key] = result
+        pending = self._udp_pending.get(record.src)
+        if pending is None:
+            pending = self._udp_pending[record.src] = {}
+        pending[msg_id] = result
         if self.resilience is not None:
             inflight = _Inflight(wire=wire)
             self._udp_inflight[key] = inflight
@@ -492,7 +559,9 @@ class Querier:
         sock.sendto(wire, self.server_addr, self.dns_port)
 
     def _udp_timeout(self, key: tuple[str, int]) -> None:
-        result = self._udp_pending.get(key)
+        src, msg_id = key
+        pending = self._udp_pending.get(src, {})
+        result = pending.get(msg_id)
         inflight = self._udp_inflight.get(key)
         if result is None or inflight is None:
             return
@@ -505,10 +574,10 @@ class Querier:
             inflight.timer = self.host.scheduler.after(
                 self.resilience.wait_for(result.attempts),
                 self._udp_timeout, key)
-            self._udp_socket_for(key[0]).sendto(
+            self._udp_socket_for(src).sendto(
                 inflight.wire, self.server_addr, self.dns_port)
             return
-        del self._udp_pending[key]
+        del pending[msg_id]
         del self._udp_inflight[key]
         self._timeout_result(result)
 
@@ -516,24 +585,25 @@ class Querier:
         if self.crashed:
             return
         try:
-            message = Message.from_wire(payload)
+            msg_id, flags, rcode, edns = self.wire.decode_response(payload)
         except WireError:
             self._note_malformed()
             return
-        key = (src, message.msg_id)
-        result = self._udp_pending.get(key)
+        pending = self._udp_pending.get(src, {})
+        result = pending.get(msg_id)
         if result is None or result.response_time is not None:
             return
+        key = (src, msg_id)
         if (self.resilience is not None and self.resilience.tcp_fallback
-                and message.flags & Flag.TC and not result.fell_back):
+                and flags & Flag.TC and not result.fell_back):
             self._fall_back_to_tcp(key, result)
             return
-        del self._udp_pending[key]
+        del pending[msg_id]
         inflight = self._udp_inflight.pop(key, None)
         if inflight is not None:
             inflight.cancel()
         self._note_recovered(result)
-        self._complete(result, message, len(payload))
+        self._complete(result, rcode, edns, len(payload))
 
     def _fall_back_to_tcp(self, key: tuple[str, int],
                           result: QueryResult) -> None:
@@ -541,7 +611,7 @@ class Querier:
         source's TCP channel (RFC 7766), keeping the original
         send_time so the measured latency includes the fallback."""
         src, msg_id = key
-        del self._udp_pending[key]
+        del self._udp_pending[src][msg_id]
         inflight = self._udp_inflight.pop(key, None)
         if inflight is not None:
             inflight.cancel()
@@ -651,17 +721,17 @@ class Querier:
         if self.crashed:
             return
         try:
-            message = Message.from_wire(wire)
+            msg_id, _flags, rcode, edns = self.wire.decode_response(wire)
         except WireError:
             self._note_malformed()
             return
-        result = channel.pending.pop(message.msg_id, None)
+        result = channel.pending.pop(msg_id, None)
         if result is not None:
-            inflight = channel.inflight.pop(message.msg_id, None)
+            inflight = channel.inflight.pop(msg_id, None)
             if inflight is not None:
                 inflight.cancel()
             self._note_recovered(result)
-            self._complete(result, message, len(wire))
+            self._complete(result, rcode, edns, len(wire))
 
     def _on_channel_closed(self, key: tuple) -> None:
         channel = self._tcp_channels.pop(key, None)
@@ -774,14 +844,14 @@ class Querier:
         if self.crashed:
             return
         try:
-            message = Message.from_wire(wire)
+            msg_id, _flags, rcode, edns = self.wire.decode_response(wire)
         except WireError:
             self._note_malformed()
             return
-        result = pending.pop(message.msg_id, None)
+        result = pending.pop(msg_id, None)
         if result is not None:
-            self._cancel_quic_timer(src, message.msg_id)
-            self._complete(result, message, len(wire))
+            self._cancel_quic_timer(src, msg_id)
+            self._complete(result, rcode, edns, len(wire))
 
     def _reap_quic(self, src: str) -> None:
         entry = self._quic_conns.pop(src, None)
@@ -797,14 +867,12 @@ class Querier:
 
     # -- completion ------------------------------------------------------------------------------
 
-    def _complete(self, result: QueryResult, message: Message,
+    def _complete(self, result: QueryResult, rcode: int, edns,
                   size: int) -> None:
         result.response_time = self.host.scheduler.now
         result.response_size = size
-        result.rcode = message.rcode
-        if self.cookies:
-            learn_cookie(message, result.record.src,
-                         self._server_cookies)
+        result.rcode = rcode
+        self.wire.learn(result.record.src, edns)
         obs = self.host.scheduler.obs
         if obs is not None:
             obs.metrics.counter("replay.responses").inc()
@@ -874,7 +942,7 @@ class Querier:
         """Queries currently awaiting a response across every
         transport — zero after a drained resilient run (nothing may
         strand)."""
-        return (len(self._udp_pending)
+        return (sum(len(pending) for pending in self._udp_pending.values())
                 + sum(len(ch.pending)
                       for ch in self._tcp_channels.values())
                 + sum(len(entry[1])

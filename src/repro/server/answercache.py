@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.dns.constants import RRClass
 from repro.dns.name import Name
 
 
@@ -53,6 +54,7 @@ class CachedAnswer:
     # the source address in the key, so the stored verdict is exactly
     # what re-validation would produce.
     cookie_verified: bool = False
+    qclass: int = RRClass.IN   # the question's class (query log field)
 
 
 class AnswerCache:

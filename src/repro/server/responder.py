@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.dns.constants import Flag, Opcode, Rcode
+from repro.dns.constants import Flag, Opcode, Rcode, RRClass
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.wire import WireError
@@ -48,6 +48,7 @@ class QueryLogEntry:
     proto: str
     rcode: int
     response_size: int
+    qclass: int = RRClass.IN
 
 
 class DnsResponder:
@@ -162,7 +163,8 @@ class DnsResponder:
                 time=self._now(), qname=query.question.qname,
                 qtype=query.question.qtype, src=src, sport=sport,
                 proto=proto, rcode=response.rcode,
-                response_size=0 if decision == "drop" else len(full)))
+                response_size=0 if decision == "drop" else len(full),
+                qclass=query.question.qclass))
         if cache is not None and query.opcode == Opcode.QUERY:
             # Cached regardless of the RRL outcome: the cache stores
             # the *answer*, and RRL re-decides on every hit.
@@ -172,7 +174,8 @@ class DnsResponder:
                 view_selected=view_selected, refused=zone is None,
                 zone=zone,
                 zone_version=zone.version if zone is not None else 0,
-                cookie_verified=verified))
+                cookie_verified=verified,
+                qclass=query.question.qclass))
         return self._finish(decision, wire, response.rcode, out)
 
     # Internal transports predate the public name; both spellings stay
@@ -216,7 +219,8 @@ class DnsResponder:
                 qtype=entry.qtype, src=src, sport=sport, proto=proto,
                 rcode=entry.rcode,
                 response_size=(0 if decision == "drop"
-                               else entry.full_size)))
+                               else entry.full_size),
+                qclass=entry.qclass))
         return self._finish(decision, wire, entry.rcode,
                             wire[:2] + entry.body)
 

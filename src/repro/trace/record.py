@@ -48,7 +48,7 @@ class QueryRecord:
             edns = Edns(payload=self.edns_payload or 4096, do=self.do)
         return Message.make_query(Name.from_text(self.qname), self.qtype,
                                   msg_id=self.msg_id, rd=self.rd,
-                                  edns=edns)
+                                  edns=edns, qclass=self.qclass)
 
     @classmethod
     def from_message(cls, message: Message, time: float, src: str,

@@ -68,10 +68,10 @@ def test_query_records_are_valid(record):
     assert record.time >= 0.0
 
 
-def test_fuzz_targets_cover_the_five_surfaces():
+def test_fuzz_targets_cover_the_six_surfaces():
     assert set(fuzz_targets()) == {"message_parser", "responder",
-                                   "trace_binary", "trace_text",
-                                   "wire_round_trip"}
+                                   "response_decode", "trace_binary",
+                                   "trace_text", "wire_round_trip"}
 
 
 def test_run_fuzz_small_budget_zero_crashes():

@@ -141,7 +141,7 @@ def test_detects_finished_result_left_pending():
     engine = corrupted_engine()
     querier = engine.queriers[0]
     result = querier.results[0]
-    querier._udp_pending[(result.record.src, 9999)] = result
+    querier._udp_pending.setdefault(result.record.src, {})[9999] = result
     with pytest.raises(InvariantViolation, match="finished result"):
         verify_queriers(engine.queriers)
 
@@ -180,7 +180,8 @@ def test_on_msg_id_rejects_collisions_and_bad_ids():
     querier = engine.queriers[0]
     checker = querier.check
     record = querier.results[0].record
-    querier._udp_pending[(record.src, 1234)] = querier.results[0]
+    querier._udp_pending.setdefault(record.src, {})[1234] = \
+        querier.results[0]
     with pytest.raises(InvariantViolation, match="collides"):
         checker.on_msg_id(querier, record, 1234, scan=False)
     with pytest.raises(InvariantViolation, match="outside"):

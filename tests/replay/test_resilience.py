@@ -126,6 +126,13 @@ def blackholed_querier():
     return sim, querier
 
 
+def udp_pending_keys(querier):
+    """(src, msg_id) of every UDP query awaiting a response."""
+    for src, pending in querier._udp_pending.items():
+        for msg_id in pending:
+            yield src, msg_id
+
+
 def test_wrapped_msg_id_skips_pending_ids():
     """A wrapped id must not collide with a still-pending query on the
     same UDP source (it would complete the wrong QueryResult)."""
@@ -134,7 +141,7 @@ def test_wrapped_msg_id_skips_pending_ids():
                       qname="a.example.com.", proto="udp")
     querier.handle_record_fast(rec)
     sim.run_until_idle()
-    first_key = next(iter(querier._udp_pending))
+    first_key = next(udp_pending_keys(querier))
     assert first_key[1] == 1
     # Simulate the 0xFFFF wrap landing exactly on the pending id.
     querier._msg_seq = 0
@@ -142,8 +149,8 @@ def test_wrapped_msg_id_skips_pending_ids():
         time=0.0, src="172.16.0.1", qname="b.example.com.",
         proto="udp"))
     sim.run_until_idle()
-    assert len(querier._udp_pending) == 2
-    ids = sorted(mid for (_src, mid) in querier._udp_pending)
+    assert len(list(udp_pending_keys(querier))) == 2
+    ids = sorted(mid for (_src, mid) in udp_pending_keys(querier))
     assert ids == [1, 2]
 
 
@@ -158,8 +165,8 @@ def test_wrap_only_skips_same_source():
         proto="udp"))
     sim.run_until_idle()
     # Different source: id 1 is free to reuse there.
-    assert sorted(querier._udp_pending) == [("172.16.0.1", 1),
-                                            ("172.16.0.2", 1)]
+    assert sorted(udp_pending_keys(querier)) == [("172.16.0.1", 1),
+                                                 ("172.16.0.2", 1)]
 
 
 # -- malformed responses ----------------------------------------------------
