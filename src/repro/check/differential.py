@@ -128,12 +128,19 @@ def compare_sim_live(sim_report, live_report,
 
 
 def diff_sim_live(bands: ToleranceBands | None = None,
-                  speed: float = 20.0) -> DiffResult:
+                  speed: float = 20.0) -> list[DiffResult]:
     """Replay the conformance trace through both backends and
-    band-compare the reports."""
+    band-compare the reports: once plain, once with the default
+    :class:`~repro.replay.querier.ResilienceConfig`, so the shared
+    query core's resilient path is checked on both transports."""
     from repro.check.scenarios import run_live, run_sim_for_live
-    sim_report = run_sim_for_live()
-    live_report = run_live(speed=speed)
-    return DiffResult(label="sim-vs-live",
-                      failures=compare_sim_live(sim_report, live_report,
-                                                bands))
+    from repro.replay.querier import ResilienceConfig
+    results = []
+    for label, resilience in (("sim-vs-live", None),
+                              ("sim-vs-live[resilient]",
+                               ResilienceConfig())):
+        sim_report = run_sim_for_live(resilience=resilience)
+        live_report = run_live(resilience=resilience, speed=speed)
+        results.append(DiffResult(label=label, failures=compare_sim_live(
+            sim_report, live_report, bands)))
+    return results

@@ -30,6 +30,8 @@ raise :class:`InvariantViolation` with every failed check listed.
 
 from __future__ import annotations
 
+from repro.replay.querier import COUNTERS
+
 # How often (in message-id allocations, i.e. sends) the attached
 # checker rescans full querier state mid-run.
 SCAN_EVERY = 256
@@ -51,33 +53,21 @@ def _terminal_states(result) -> list[str]:
 
 
 def _iter_pending(querier):
-    """Yield every QueryResult awaiting a response, whichever backend's
-    querier this is (sim transport maps or the live id map)."""
-    if hasattr(querier, "_udp_pending"):            # sim Querier
-        for pending in querier._udp_pending.values():
-            yield from pending.values()
-        for channel in querier._tcp_channels.values():
-            yield from channel.pending.values()
-        for _conn, pending in querier._quic_conns.values():
-            yield from pending.values()
-    elif hasattr(querier, "_pending"):              # LiveQuerier
-        for result, _fut in querier._pending.values():
-            yield result
-
-
-_COUNTERS = ("sent", "unanswered_at_close", "timeouts", "retransmits",
-             "tcp_fallbacks", "reconnects", "recovered", "malformed",
-             "failed_over")
+    """Yield every QueryResult awaiting a response: the shared query
+    core's table is the same shape in either backend."""
+    for table in querier.pending.values():
+        for pending in table.values():
+            yield pending.result
 
 
 def _check_querier(querier, errors: list[str]) -> None:
-    name = getattr(querier, "name", "querier")
-    for counter in _COUNTERS:
-        value = getattr(querier, counter, 0)
+    name = querier.name
+    for counter in COUNTERS:
+        value = getattr(querier, counter)
         if value < 0:
             errors.append(f"{name}: counter {counter} is negative "
                           f"({value})")
-    backlog = getattr(querier, "backlog_depth", lambda: 0)()
+    backlog = querier.backlog_depth()
     if backlog < 0:
         errors.append(f"{name}: negative backlog depth ({backlog})")
     pending = querier.pending_count()
@@ -133,7 +123,7 @@ def _check_pinning(queriers, errors: list[str]) -> None:
     """Every emulated source's results live on exactly one querier."""
     owner: dict[str, str] = {}
     for querier in queriers:
-        name = getattr(querier, "name", "querier")
+        name = querier.name
         for result in querier.results:
             src = result.record.src
             first = owner.setdefault(src, name)
@@ -153,14 +143,14 @@ def verify_queriers(queriers, *, sticky: bool = True,
 
     Shared by both backends: the sim engine's periodic/final scans and
     the live backend's post-drain verification call this on their
-    querier lists (sim :class:`Querier` and :class:`LiveQuerier` both
-    expose the accounting surface it reads).  Pinning is only checked
-    when *sticky* and no querier crashed and not *supervised* —
-    failover legitimately re-homes sources."""
+    querier lists (sim :class:`Querier` and :class:`LiveQuerier` are
+    both drivers of one :class:`~repro.replay.querier.QueryCore`).
+    Pinning is only checked when *sticky* and no querier crashed and
+    not *supervised* — failover legitimately re-homes sources."""
     errors: list[str] = []
     for querier in queriers:
         _check_querier(querier, errors)
-    crashed = any(getattr(q, "crashed", False) for q in queriers)
+    crashed = any(q.crashed for q in queriers)
     if sticky and not supervised and not crashed:
         _check_pinning(queriers, errors)
     if expected_results is not None:

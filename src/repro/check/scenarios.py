@@ -105,13 +105,14 @@ def run_live(resilience=None, speed: float = 20.0):
     return backend.run(trace)
 
 
-def run_sim_for_live():
+def run_sim_for_live(resilience=None):
     """The sim run the live run is compared against: same world, same
     trace, observe off so the schemas align key-for-key."""
     zone, trace = conformance_zone_and_trace()
     world = authoritative_world(
         [zone], mode="direct", client_instances=INSTANCES,
-        queriers_per_instance=QUERIERS, observe=False, seed=SEED)
+        queriers_per_instance=QUERIERS, observe=False, seed=SEED,
+        resilience=resilience)
     return world.run(trace, extra_time=EXTRA_TIME).report
 
 

@@ -14,8 +14,10 @@ Queriers (:class:`LiveQuerier`) drive trace timing with the §2.6 ΔT
 rule (:class:`~repro.replay.timing.ReplayTimer`) against the event
 loop's monotonic clock, emulate per-source stickiness by partitioning
 sources across querier tasks (CRC-32, like the sim's split-input
-rule), reuse one TCP connection per source, and match responses to
-queries by message id.  TCP uses the same
+rule), and reuse one TCP connection per source.  Everything between
+send and answer — id matching per channel, retransmission, TC
+fallback, reconnects, accounting — is the sim's own
+:class:`~repro.replay.querier.QueryCore`.  TCP uses the same
 :class:`~repro.netsim.framing.LengthPrefixFramer` as the simulated
 transports, so partial reads and pipelined queries on one connection
 are reassembled by the identical incremental parser.
@@ -35,15 +37,13 @@ import contextlib
 import os
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.dns.constants import Flag
-from repro.dns.wire import WireError
 from repro.netsim.framing import LengthPrefixFramer, frame_message
 from repro.netsim.resources import ResourceMeter
 from repro.obs import Observer
 from repro.replay.backends.base import ReplayBackend
-from repro.replay.querier import ClientWire, QueryResult
+from repro.replay.querier import ClientWire, QueryCore, QueryResult
 from repro.replay.timing import ReplayTimer
 from repro.server.responder import DnsResponder
 from repro.trace.pipeline import TracePipeline
@@ -276,35 +276,54 @@ class LiveDnsServer:
 
 
 class _ClientDatagramProtocol(asyncio.DatagramProtocol):
+    """A live querier's one UDP socket, and the core's key for it."""
+
     def __init__(self, querier: "LiveQuerier"):
         self.querier = querier
+        self.transport = None
 
     def connection_made(self, transport) -> None:
-        pass
+        self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
-        self.querier._on_response_wire(data)
+        self.querier.on_response(self, data)
 
     def error_received(self, exc) -> None:
         self.querier.socket_errors += 1
 
 
-@dataclass
+class _WallClock:
+    """A live querier's clock, shaped like the sim scheduler the query
+    core reads: ``now`` in seconds since the replay epoch, and ``obs``."""
+
+    def __init__(self, obs: Observer | None):
+        self.obs = obs
+        self.loop: asyncio.AbstractEventLoop | None = None
+        self.epoch = 0.0
+
+    @property
+    def now(self) -> float:
+        return self.loop.time() - self.epoch
+
+
+@dataclass(eq=False)
 class _LiveChannel:
-    """One per-source TCP connection (its reader pump is tracked in
-    :attr:`LiveQuerier._pumps`)."""
+    """One per-source TCP connection (a core channel key).  Queries
+    sent before it connects wait in *backlog*; its reader pump is
+    tracked in :attr:`LiveQuerier._pumps`."""
 
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
+    src: str
+    writer: asyncio.StreamWriter | None = None
+    backlog: list[bytes] = field(default_factory=list)
 
 
-class LiveQuerier:
-    """One asyncio replay worker: ΔT-paced sends, id-matched responses.
-
-    Duck-types the slice of :class:`~repro.replay.querier.Querier` the
-    report and metrics assembly read (results, resilience counters,
-    ``pending_count``), so :class:`~repro.replay.engine.ReplayReport`
-    works unchanged."""
+class LiveQuerier(QueryCore):
+    """One asyncio replay worker: the live driver of the shared
+    :class:`~repro.replay.querier.QueryCore` — ΔT pacing, a bounded
+    number of queries in flight, one UDP socket, and one TCP connection
+    per source under an LRU cap.  Waits are ``loop.call_later`` timers.
+    Without a resilience policy a query is stranded after
+    *query_timeout*, so a lossy run never wedges the replay."""
 
     def __init__(self, name: str, server_addr: str, server_port: int, *,
                  fast: bool = False, speed: float = 1.0,
@@ -313,52 +332,37 @@ class LiveQuerier:
                  cookies: bool = False,
                  observer: Observer | None = None,
                  query_wires: dict | None = None):
-        self.name = name
+        super().__init__(name, resilience, ClientWire(cookies, query_wires))
+        self.clock = _WallClock(observer)
+        self.strand_after = query_timeout
         self.server_addr = server_addr
         self.server_port = server_port
         self.fast = fast
         self.speed = speed
-        self.query_timeout = query_timeout
         self.max_inflight = max(1, max_inflight)
         self.tcp_connection_cap = max(1, tcp_connection_cap)
-        self.resilience = resilience
-        self.wire = ClientWire(cookies, query_wires)
-        self.observer = observer
-        self.results: list[QueryResult] = []
-        self.sent = 0
-        self.unanswered_at_close = 0
-        self.timeouts = 0
-        self.retransmits = 0
-        self.tcp_fallbacks = 0
-        self.reconnects = 0
-        self.recovered = 0
-        self.malformed = 0
-        self.failed_over = 0
         self.socket_errors = 0
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._epoch = 0.0
-        self._udp_transport = None
+        self._udp = _ClientDatagramProtocol(self)
         self._channels: dict[str, _LiveChannel] = {}
         # Every reader pump ever started, including those of channels
         # since evicted or dropped: _aclose reaps them all.
         self._pumps: set[asyncio.Task] = set()
-        self._pending: dict[int, tuple[QueryResult, asyncio.Future]] = {}
-        self._msg_seq = 0
+        self._slots: asyncio.Semaphore | None = None
 
     # -- driving ------------------------------------------------------------
 
     async def replay(self, records, epoch: float) -> None:
         loop = asyncio.get_running_loop()
-        self._loop = loop
-        self._epoch = epoch
+        self.clock.loop, self.clock.epoch = loop, epoch
         transport, _ = await loop.create_datagram_endpoint(
-            lambda: _ClientDatagramProtocol(self),
+            lambda: self._udp,
             remote_addr=(self.server_addr, self.server_port))
         _grow_udp_buffers(transport)
-        self._udp_transport = transport
+        # One slot per query in flight: bounding them also backpressures
+        # pacing once the server falls behind, like the sim's bounded
+        # distributor->querier queues.
+        self._slots = slots = asyncio.Semaphore(self.max_inflight)
         timer = ReplayTimer()
-        inflight = asyncio.Semaphore(self.max_inflight)
-        tasks: list[asyncio.Task] = []
         try:
             for record in records:
                 now = loop.time()
@@ -372,268 +376,89 @@ class LiveQuerier:
                     scheduled = (now + delay) - epoch
                     if delay > 0:
                         await asyncio.sleep(delay)
-                # Bounding in-flight queries also backpressures pacing
-                # once the server falls behind, like the sim's bounded
-                # distributor->querier queues.
-                await inflight.acquire()
-                task = loop.create_task(self._query(record, scheduled))
-                task.add_done_callback(lambda _t: inflight.release())
-                tasks.append(task)
-            if tasks:
-                failures = [r for r in await asyncio.gather(
-                    *tasks, return_exceptions=True)
-                    if isinstance(r, Exception)]
-                self.socket_errors += len(failures)
+                await slots.acquire()
+                self.start(record, scheduled)
+            for _ in range(self.max_inflight):     # every query settled
+                await slots.acquire()
         finally:
             await self._aclose()
 
-    async def _query(self, record, scheduled: float) -> None:
-        msg_id = self._next_msg_id()
-        wire = self.wire.query(record, msg_id)
-        now = self._loop.time() - self._epoch
-        result = QueryResult(record=record, send_time=now,
-                             scheduled_time=scheduled)
-        self.results.append(result)
-        self.sent += 1
-        obs = self.observer
-        if obs is not None:
-            obs.metrics.counter("replay.queries_sent").inc()
-            obs.metrics.counter(f"replay.queries_{record.proto}").inc()
-            obs.metrics.histogram("replay.timing_error").record(
-                now - scheduled)
-            obs.tracer.emit("querier.send", scheduled, now,
-                            detail=record.proto)
-        try:
-            if record.proto == "udp":
-                await self._query_udp(record, wire, msg_id, result)
-            else:
-                await self._query_stream(record, wire, msg_id, result)
-        finally:
-            self._pending.pop(msg_id, None)
+    # -- transport (the QueryCore driver surface) ---------------------------
 
-    # -- UDP ----------------------------------------------------------------
+    def _arm(self, delay: float, p):
+        return self.clock.loop.call_later(delay, self.on_timer, p)
 
-    async def _query_udp(self, record, wire: bytes, msg_id: int,
-                         result: QueryResult) -> None:
-        fut = self._new_pending(msg_id, result)
-        policy = self.resilience
-        while True:
-            try:
-                self._udp_transport.sendto(wire)
-            except OSError:
-                self.socket_errors += 1
-            wait = (policy.wait_for(result.attempts)
-                    if policy is not None else self.query_timeout)
-            try:
-                flags, rcode, edns, size = await asyncio.wait_for(
-                    asyncio.shield(fut), wait)
-            except asyncio.TimeoutError:
-                if policy is not None \
-                        and result.attempts <= policy.max_retries:
-                    # Same datagram, same message id (RFC 1035 §4.2.1):
-                    # a late answer to any attempt still matches.
-                    result.attempts += 1
-                    self.retransmits += 1
-                    self._count("replay.retransmits")
-                    continue
-                self._strand(result)
-                return
-            if (policy is not None and policy.tcp_fallback
-                    and flags & Flag.TC and not result.fell_back):
-                result.fell_back = True
-                self.tcp_fallbacks += 1
-                self._count("replay.tcp_fallbacks")
-                await self._fallback_tcp(record, wire, msg_id, result)
-                return
-            self._note_recovered(result)
-            self._complete(result, rcode, edns, size)
-            return
+    def _settled(self) -> None:
+        self._slots.release()
 
-    async def _fallback_tcp(self, record, wire: bytes, msg_id: int,
-                            result: QueryResult) -> None:
-        """The UDP answer was truncated: retry over the source's TCP
-        channel (RFC 7766), keeping the original send_time so the
-        measured latency includes the fallback."""
-        fut = self._new_pending(msg_id, result)
-        if not await self._send_framed(record.src, frame_message(wire),
-                                       result):
-            return
-        wait = (self.resilience.wait_for(result.attempts)
-                if self.resilience is not None else self.query_timeout)
-        try:
-            _flags, rcode, edns, size = await asyncio.wait_for(
-                asyncio.shield(fut), wait)
-        except asyncio.TimeoutError:
-            self._strand(result)
-            return
-        self._note_recovered(result)
-        self._complete(result, rcode, edns, size)
+    def _channel(self, src: str, proto: str):
+        return self._udp if proto == "udp" else self._channels.get(src)
 
-    # -- TCP ----------------------------------------------------------------
-
-    async def _query_stream(self, record, wire: bytes, msg_id: int,
-                            result: QueryResult) -> None:
-        fut = self._new_pending(msg_id, result)
-        if not await self._send_framed(record.src, frame_message(wire),
-                                       result):
-            return
-        wait = (self.resilience.wait_for(result.attempts)
-                if self.resilience is not None else self.query_timeout)
-        try:
-            _flags, rcode, edns, size = await asyncio.wait_for(
-                asyncio.shield(fut), wait)
-        except asyncio.TimeoutError:
-            self._strand(result)
-            return
-        self._note_recovered(result)
-        self._complete(result, rcode, edns, size)
-
-    async def _send_framed(self, src: str, framed: bytes,
-                           result: QueryResult) -> bool:
-        """Write on the source's connection, reconnecting once when the
-        policy allows it; False means the query could not be sent and
-        has been accounted."""
-        for attempt in (1, 2):
-            try:
-                channel = await self._channel_for(src)
-                channel.writer.write(framed)
-                await channel.writer.drain()
-                return True
-            except OSError:
-                self.socket_errors += 1
-                self._drop_channel(src)
-                if (self.resilience is not None
-                        and self.resilience.reconnect and attempt == 1):
-                    result.attempts += 1
-                    self.reconnects += 1
-                    self._count("replay.reconnects")
-                    continue
-                self._strand(result)
-                return False
-        return False
-
-    async def _channel_for(self, src: str) -> _LiveChannel:
+    def _open(self, src: str, proto: str):
+        if proto == "udp":
+            return self._udp
         channel = self._channels.pop(src, None)
-        if channel is not None and not channel.writer.is_closing():
-            self._channels[src] = channel      # refresh LRU position
-            return channel
-        if channel is not None:
-            self._close_channel(channel)
-        reader, writer = await asyncio.open_connection(
-            self.server_addr, self.server_port)
-        raced = self._channels.get(src)
-        if raced is not None and not raced.writer.is_closing():
-            # Another query from this source connected while this one
-            # waited: share that connection instead of orphaning it.
-            writer.close()
-            return raced
-        channel = _LiveChannel(reader=reader, writer=writer)
-        pump = asyncio.get_running_loop().create_task(
-            self._pump_channel(channel))
-        self._pumps.add(pump)
-        pump.add_done_callback(self._pumps.discard)
-        self._channels[src] = channel
+        if channel is None:
+            channel = _LiveChannel(src)
+            pump = self.clock.loop.create_task(self._pump_channel(channel))
+            self._pumps.add(pump)
+            pump.add_done_callback(self._pumps.discard)
+        self._channels[src] = channel          # most recently used last
         while len(self._channels) > self.tcp_connection_cap:
-            # Evict the least-recently-used source's connection; its
-            # straggler responses, if any, resolve as timeouts.
-            oldest = next(iter(self._channels))
-            self._drop_channel(oldest)
+            # Evict the least-recently-used source's connection.
+            self._drop(next(iter(self._channels.values())), resend=False)
         return channel
 
-    async def _pump_channel(self, channel: _LiveChannel) -> None:
-        framer = LengthPrefixFramer(self._on_response_wire)
-        try:
-            while True:
-                data = await channel.reader.read(_READ_CHUNK)
-                if not data:
-                    break
-                framer.feed(data)
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            self.socket_errors += 1
-
-    def _drop_channel(self, src: str) -> None:
-        channel = self._channels.pop(src, None)
-        if channel is not None:
-            self._close_channel(channel)
-
-    def _close_channel(self, channel: _LiveChannel) -> None:
-        if not channel.writer.is_closing():
-            channel.writer.close()
-
-    # -- matching / accounting ----------------------------------------------
-
-    def _new_pending(self, msg_id: int,
-                     result: QueryResult) -> asyncio.Future:
-        fut = self._loop.create_future()
-        self._pending[msg_id] = (result, fut)
-        return fut
-
-    def _on_response_wire(self, payload: bytes) -> None:
-        try:
-            msg_id, flags, rcode, edns = self.wire.decode_response(payload)
-        except WireError:
-            self.malformed += 1
-            self._count("replay.malformed_responses")
-            return
-        entry = self._pending.get(msg_id)
-        if entry is None:
-            return
-        result, fut = entry
-        if result.response_time is None and not fut.done():
-            fut.set_result((flags, rcode, edns, len(payload)))
-
-    def _next_msg_id(self) -> int:
-        for _ in range(0x10000):
-            self._msg_seq = (self._msg_seq + 1) & 0xFFFF
-            if self._msg_seq not in self._pending:
-                return self._msg_seq
-        raise RuntimeError(f"{self.name}: 65536 queries pending; "
-                           "no free message id")
-
-    def _strand(self, result: QueryResult) -> None:
-        """The wait is over and no answer came.  With a resilience
-        policy this is a timeout (the policy is exhausted); without
-        one it is the live analogue of the sim's unanswered-at-close
-        stranding — either way the query never wedges the replay."""
-        if self.resilience is not None:
-            result.timed_out = True
-            self.timeouts += 1
-            self._count("replay.timeouts")
+    def _transmit(self, key, wire: bytes) -> None:
+        if key is self._udp:
+            try:
+                key.transport.sendto(wire)
+            except OSError:
+                self.socket_errors += 1
+        elif key.writer is not None:
+            key.writer.write(frame_message(wire))
         else:
-            self.unanswered_at_close += 1
+            key.backlog.append(frame_message(wire))
 
-    def _note_recovered(self, result: QueryResult) -> None:
-        if result.attempts > 1 or result.fell_back:
-            self.recovered += 1
-            self._count("replay.recovered")
+    async def _pump_channel(self, channel: _LiveChannel) -> None:
+        """Connect *channel*, flush what was sent meanwhile, and feed
+        its responses to the core until the connection ends."""
+        framer = LengthPrefixFramer(
+            lambda wire: self.on_response(channel, wire))
+        try:
+            reader, channel.writer = await asyncio.open_connection(
+                self.server_addr, self.server_port)
+            if self._channels.get(channel.src) is channel:
+                channel.writer.writelines(channel.backlog)
+                while data := await reader.read(_READ_CHUNK):
+                    framer.feed(data)
+        except OSError:
+            self.socket_errors += 1
+        self._drop(channel, resend=True)
 
-    def _complete(self, result: QueryResult, rcode: int, edns,
-                  size: int) -> None:
-        result.response_time = self._loop.time() - self._epoch
-        result.response_size = size
-        result.rcode = rcode
-        self.wire.learn(result.record.src, edns)
-        obs = self.observer
-        if obs is not None:
-            obs.metrics.counter("replay.responses").inc()
-            obs.metrics.histogram("replay.latency").record(
-                result.response_time - result.send_time)
-            obs.tracer.emit("querier.response", result.send_time,
-                            result.response_time,
-                            detail=result.record.proto)
+    def _drop(self, channel: _LiveChannel, resend: bool) -> None:
+        """Forget and close *channel*; the core settles or re-sends
+        what was pending on it (a no-op once already dropped)."""
+        if self._channels.get(channel.src) is channel:
+            del self._channels[channel.src]
+        if channel.writer is not None:
+            channel.writer.close()
+        self.channel_lost(channel, resend)
 
-    def _count(self, name: str) -> None:
-        if self.observer is not None:
-            self.observer.metrics.counter(name).inc()
-
-    # -- teardown / stats ---------------------------------------------------
+    # -- teardown -----------------------------------------------------------
 
     async def _aclose(self) -> None:
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            self._udp_transport = None
+        # Normally nothing is pending here; after a run deadline, stop
+        # the waits so none fires into a closed socket.
+        for table in self.pending.values():
+            for p in table.values():
+                if p.timer is not None:
+                    p.timer.cancel()
+        if self._udp.transport is not None:
+            self._udp.transport.close()
         for channel in self._channels.values():
-            self._close_channel(channel)
+            if channel.writer is not None:
+                channel.writer.close()
         self._channels.clear()
         # The queries are over (answered, timed out or cancelled), so
         # nothing is left to read: cancel every pump, evicted channels'
@@ -642,18 +467,6 @@ class LiveQuerier:
         for pump in pumps:
             pump.cancel()
         await asyncio.gather(*pumps, return_exceptions=True)
-
-    def latencies(self) -> list[float]:
-        return [r.latency for r in self.results if r.latency is not None]
-
-    def answered_fraction(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.answered) \
-            / len(self.results)
-
-    def pending_count(self) -> int:
-        return len(self._pending)
 
 
 class _LiveClock:

@@ -24,6 +24,12 @@ the query records routed to it:
   :class:`QueryResult` (``attempts``/``timed_out``/``fell_back``)
   instead of silently stranding queries.
 
+The query lifecycle itself — message ids, the pending table, matching,
+the resilience policy and its accounting — is :class:`QueryCore`, one
+state machine with no I/O that both backends drive: :class:`Querier`
+here over the simulated fabric, and
+:class:`~repro.replay.backends.live.LiveQuerier` over asyncio sockets.
+
 Configuration rides in a single keyword-only :class:`QuerierConfig`.
 (The pre-1.2 keyword tail — ``jitter_seed``, ``dns_port``,
 ``tls_port``, ``quic_port``, ``nagle`` passed directly — warned for
@@ -116,34 +122,6 @@ class QueryResult:
     @property
     def answered(self) -> bool:
         return self.response_time is not None
-
-
-@dataclass
-class _Inflight:
-    """Retransmission bookkeeping for one pending query."""
-
-    wire: bytes                   # datagram (UDP) or framed bytes (stream)
-    timer: object | None = None   # scheduler Event for the timeout
-    resent: bool = False          # stream reconnect-resend already spent
-
-    def cancel(self) -> None:
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-
-
-@dataclass
-class _TcpChannel:
-    """One per-source TCP/TLS connection with its framer and pending map."""
-
-    conn: object
-    session: object                      # TcpConnection or TlsConnection
-    framer: LengthPrefixFramer
-    key: tuple = ()
-    pending: dict[int, QueryResult] = field(default_factory=dict)
-    inflight: dict[int, _Inflight] = field(default_factory=dict)
-    established: bool = False
-    backlog: list[bytes] = field(default_factory=list)
 
 
 def attach_cookie(message, src: str,
@@ -262,43 +240,343 @@ def _result_from_dict(data: dict) -> QueryResult:
     return QueryResult(**data)
 
 
-class Querier:
-    """One querier process on a client-instance host."""
+# The accounting every querier keeps: checkpointed, and checked
+# non-negative by repro.check.invariants.
+COUNTERS = ("sent", "unanswered_at_close", "timeouts", "retransmits",
+            "tcp_fallbacks", "reconnects", "recovered", "malformed",
+            "failed_over")
+
+
+class Pending:
+    """One query awaiting its response on a channel."""
+
+    __slots__ = ("result", "key", "proto", "msg_id", "wire", "timer",
+                 "resent")
+
+    def __init__(self, result: QueryResult, key, proto: str, msg_id: int,
+                 wire: bytes):
+        self.result = result
+        self.key = key              # the channel it is pending on
+        self.proto = proto          # that channel's transport
+        self.msg_id = msg_id
+        self.wire = wire            # unframed query, kept for re-sends
+        self.timer = None           # armed wait (a handle with cancel())
+        self.resent = False         # stream reconnect-resend spent
+
+
+class QueryCore:
+    """The query lifecycle both backends' queriers share, with no I/O.
+
+    It allocates message ids, tracks every query awaiting a response in
+    one table, ``pending = {channel key: {msg_id: Pending}}``, matches
+    each response to its query on the channel it arrived on, and runs
+    the resilience policy: UDP retransmission with backoff, TC-bit
+    fallback to TCP, one reconnect-and-resend when a stream dies, and
+    the timeout / stranded / failed-over accounting.  A driver subclass
+    supplies the transport: the sim :class:`Querier` and the live
+    :class:`~repro.replay.backends.live.LiveQuerier` (the sans-I/O
+    split ZDNS makes between lookup logic and its I/O layer).
+
+    Events in, called by the driver: :meth:`start` (send a record),
+    :meth:`on_response`, :meth:`on_timer`, :meth:`channel_lost` and
+    :meth:`crash`.  The driver sets ``clock``, an object with ``now``
+    and ``obs`` (the observer or None) — the sim scheduler is one — and
+    implements the actions: ``_channel(src, proto)`` (the channel now
+    serving that source and transport, or None), ``_open(src, proto)``
+    (that channel, opened if need be; the key may be any hashable object),
+    ``_transmit(key, wire)``, ``_arm(delay, pending)`` (a timer that
+    calls :meth:`on_timer`, returned as a handle with ``cancel()``),
+    ``_stalled(key)`` (a stream query on *key* timed out) and
+    ``_settled()`` (a query left the table for good).
+    """
+
+    # Without a resilience policy, how long a query may wait before it
+    # is stranded; None waits until its channel closes.
+    strand_after: float | None = None
+
+    def __init__(self, name: str, resilience: ResilienceConfig | None,
+                 wire: ClientWire):
+        self.name = name
+        self.resilience = resilience
+        self.wire = wire
+        self.results: list[QueryResult] = []
+        for counter in COUNTERS:
+            setattr(self, counter, 0)
+        self.crashed = False
+        self.pending: dict[object, dict[int, Pending]] = {}
+        self._msg_seq = 0
+        # Online invariant hook (repro.check.invariants): with
+        # ReplayConfig(check=True) this points at the InvariantChecker,
+        # which validates each message-id allocation.
+        self.check = None
+
+    # -- events -------------------------------------------------------------
+
+    def start(self, record: QueryRecord, scheduled: float) -> None:
+        """Send *record*'s query and track it until it settles."""
+        key = self._open(record.src, record.proto)
+        msg_id = self._next_msg_id(self.pending.get(key, ()))
+        if self.check is not None:
+            self.check.on_msg_id(self, record, msg_id)
+        wire = self.wire.query(record, msg_id)
+        clock = self.clock
+        now = clock.now
+        result = QueryResult(record=record, send_time=now,
+                             scheduled_time=scheduled)
+        self.results.append(result)
+        self.sent += 1
+        obs = clock.obs
+        if obs is not None:
+            obs.metrics.counter("replay.queries_sent").inc()
+            obs.metrics.counter(f"replay.queries_{record.proto}").inc()
+            # The §2.6 fidelity number: how late the send fired versus
+            # its ΔT-scheduled time (timer slop + send-path occupancy).
+            obs.metrics.histogram("replay.timing_error").record(
+                now - scheduled)
+            obs.tracer.emit("querier.send", scheduled, now,
+                            detail=record.proto)
+        self._launch(Pending(result, key, record.proto, msg_id, wire))
+
+    def on_response(self, key, payload: bytes) -> None:
+        """*payload* arrived on channel *key*: complete the query
+        pending there under its message id.  An answer for a query that
+        has left the channel (a late UDP datagram after TC fallback)
+        matches nothing."""
+        if self.crashed:
+            return
+        try:
+            msg_id, flags, rcode, edns = self.wire.decode_response(payload)
+        except WireError:
+            self.malformed += 1
+            self._count("replay.malformed_responses")
+            return
+        table = self.pending.get(key)
+        p = table.get(msg_id) if table is not None else None
+        if p is None:
+            return
+        result = p.result
+        policy = self.resilience
+        if (policy is not None and policy.tcp_fallback
+                and p.proto == "udp" and flags & Flag.TC):
+            self._fall_back(p)
+            return
+        del table[msg_id]
+        if p.timer is not None:
+            p.timer.cancel()
+        if result.attempts > 1 or result.fell_back:
+            self.recovered += 1
+            self._count("replay.recovered")
+        clock = self.clock
+        result.response_time = now = clock.now
+        result.response_size = len(payload)
+        result.rcode = rcode
+        self.wire.learn(result.record.src, edns)
+        obs = clock.obs
+        if obs is not None:
+            obs.metrics.counter("replay.responses").inc()
+            obs.metrics.histogram("replay.latency").record(
+                now - result.send_time)
+            obs.tracer.emit("querier.response", result.send_time, now,
+                            detail=result.record.proto)
+        self._settled()
+
+    def on_timer(self, p: Pending) -> None:
+        """*p*'s wait ran out: retransmit a UDP query while the policy
+        allows, else give up on it."""
+        p.timer = None
+        result = p.result
+        policy = self.resilience
+        if (p.proto == "udp" and policy is not None
+                and result.attempts <= policy.max_retries):
+            # The same datagram under the same message id, so a late
+            # response to any attempt still matches (RFC 1035 §4.2.1).
+            result.attempts += 1
+            self.retransmits += 1
+            self._count("replay.retransmits")
+            p.timer = self._arm(policy.wait_for(result.attempts), p)
+            self._transmit(p.key, p.wire)
+            return
+        del self.pending[p.key][p.msg_id]
+        self._give_up(result)
+        if p.proto != "udp":
+            self._stalled(p.key)
+
+    def channel_lost(self, key, resend: bool) -> None:
+        """Channel *key* is gone.  With *resend* (the peer closed a
+        stream) and a reconnecting policy, each query pending on it is
+        re-sent once on a fresh channel; the rest give up."""
+        table = self.pending.pop(key, None)
+        if not table:
+            return
+        policy = self.resilience
+        fresh = None
+        for p in table.values():
+            if p.timer is not None:
+                p.timer.cancel()
+            if (not resend or policy is None or not policy.reconnect
+                    or p.resent):
+                self._give_up(p.result)
+                continue
+            if fresh is None:
+                fresh = self._open(p.result.record.src, p.proto)
+            p.resent = True
+            p.result.attempts += 1
+            self.reconnects += 1
+            self._count("replay.reconnects")
+            p.key = fresh
+            self._launch(p)
+
+    def crash(self) -> None:
+        """The querier process dies: every query awaiting a response is
+        marked ``failed_over`` (its answer is lost with the process) and
+        its timer cancelled, so a dead querier never retransmits."""
+        self.crashed = True
+        for table in self.pending.values():
+            for p in table.values():
+                if p.timer is not None:
+                    p.timer.cancel()
+                p.result.failed_over = True
+                self.failed_over += 1
+                self._count("replay.failed_over")
+                self._settled()
+        self.pending.clear()
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def _launch(self, p: Pending) -> None:
+        """Track *p* on its channel, arm its wait, then transmit (in that
+        order: the sim breaks timestamp ties by insertion)."""
+        table = self.pending.get(p.key)
+        if table is None:
+            table = self.pending[p.key] = {}
+        table[p.msg_id] = p
+        policy = self.resilience
+        wait = (policy.wait_for(p.result.attempts) if policy is not None
+                else self.strand_after)
+        if wait is not None:
+            p.timer = self._arm(wait, p)
+        self._transmit(p.key, p.wire)
+
+    def _fall_back(self, p: Pending) -> None:
+        """The UDP answer was truncated: retry the query over its
+        source's TCP channel (RFC 7766), keeping the original send_time
+        so the measured latency includes the fallback."""
+        del self.pending[p.key][p.msg_id]
+        if p.timer is not None:
+            p.timer.cancel()
+        result = p.result
+        result.fell_back = True
+        self.tcp_fallbacks += 1
+        self._count("replay.tcp_fallbacks")
+        p.key, p.proto = self._open(result.record.src, "tcp"), "tcp"
+        taken = self.pending.get(p.key, ())
+        if p.msg_id in taken:
+            # The id is busy on the TCP channel: re-id the query (the
+            # id lives in the first two wire bytes).
+            p.msg_id = self._next_msg_id(taken)
+            if self.check is not None:
+                self.check.on_msg_id(self, result.record.with_(
+                    proto="tcp"), p.msg_id, scan=False)
+            p.wire = p.msg_id.to_bytes(2, "big") + p.wire[2:]
+        self._launch(p)
+
+    def _give_up(self, result: QueryResult) -> None:
+        """No answer will come: a timeout once a resilience policy is
+        exhausted, else stranded (accounted unanswered-at-close)."""
+        if self.resilience is not None:
+            result.timed_out = True
+            self.timeouts += 1
+            self._count("replay.timeouts")
+        else:
+            self.unanswered_at_close += 1
+        self._settled()
+
+    def _next_msg_id(self, taken) -> int:
+        """Advance the id sequence, skipping ids still pending on the
+        destination channel: a wrapped id colliding with an in-flight
+        query would complete the wrong QueryResult."""
+        for _ in range(0x10000):
+            self._msg_seq = (self._msg_seq + 1) & 0xFFFF
+            if self._msg_seq not in taken:
+                return self._msg_seq
+        raise RuntimeError(f"{self.name}: 65536 queries pending on one "
+                           "channel; no free message id")
+
+    def _taken_ids(self, record: QueryRecord):
+        """The ids pending on the channel now serving *record*."""
+        return self.pending.get(self._channel(record.src, record.proto),
+                                ())
+
+    def _count(self, name: str) -> None:
+        obs = self.clock.obs
+        if obs is not None:
+            obs.metrics.counter(name).inc()
+
+    def _stalled(self, key) -> None:
+        pass
+
+    def _settled(self) -> None:
+        pass
+
+    # -- stats ----------------------------------------------------------------
+
+    def pending_count(self) -> int:
+        """Queries currently awaiting a response on any channel — zero
+        after a drained resilient run (nothing may strand)."""
+        return sum(len(table) for table in self.pending.values())
+
+    def backlog_depth(self) -> int:
+        """Records accepted but not yet sent (the sim's ΔT backlog)."""
+        return 0
+
+    def latencies(self) -> list[float]:
+        return [r.latency for r in self.results if r.latency is not None]
+
+    def answered_fraction(self) -> float:
+        if not self.results:
+            return 0.0
+        return sum(1 for r in self.results if r.answered) \
+            / len(self.results)
+
+
+@dataclass(eq=False)
+class _Channel:
+    """One per-source TCP, TLS or QUIC connection (a core channel key;
+    a source's UDP channel is its socket)."""
+
+    src: str
+    proto: str
+    conn: object = None                  # TcpConnection / QuicConnection
+    session: object = None               # TcpConnection or TlsConnection
+    established: bool = True             # False while TLS handshakes
+    backlog: list[bytes] = field(default_factory=list)
+
+
+class Querier(QueryCore):
+    """One querier process on a client-instance host: the sim driver
+    of :class:`QueryCore` (ΔT scheduling, send-path occupancy, the
+    supervision backlog and netsim sockets)."""
 
     def __init__(self, host: Host, server_addr: str, name: str = "",
                  config: QuerierConfig | None = None,
                  query_wires: dict[tuple, bytes] | None = None):
         self.config = config = config or QuerierConfig()
+        super().__init__(name or f"querier@{host.name}", config.resilience,
+                         ClientWire(config.cookies, query_wires))
         self.host = host
+        self.clock = host.scheduler
         self.server_addr = server_addr
-        self.name = name or f"querier@{host.name}"
         self.dns_port = config.dns_port
         self.tls_port = config.tls_port
         self.quic_port = config.quic_port
         self.nagle = config.nagle
-        self.resilience = config.resilience
-        self.wire = ClientWire(config.cookies, query_wires)
         self.timer = ReplayTimer()
         self.sendpath = (SendPathModel(seed=config.jitter_seed)
                          if config.jitter_seed is not None
                          else host.sendpath)
-        self.results: list[QueryResult] = []
-        self.sent = 0
-        self.unanswered_at_close = 0
-        # Resilience accounting (always maintained; obs counters mirror
-        # these when an observer is attached).
-        self.timeouts = 0
-        self.retransmits = 0
-        self.tcp_fallbacks = 0
-        self.reconnects = 0
-        self.recovered = 0
-        self.malformed = 0
-        # Supervision state (repro.replay.supervisor).  `failed_over`
-        # counts queries that were awaiting a response when this
-        # querier crashed; orphans are records routed here after (or
-        # scheduled before) the crash, awaiting re-dispatch.
-        self.crashed = False
-        self.failed_over = 0
+        # Supervision state (repro.replay.supervisor): orphans are
+        # records routed here after (or scheduled before) a crash,
+        # awaiting re-dispatch.
         self._orphans: list[QueryRecord] = []
         # Records handed over by the distributor whose ΔT send has not
         # fired yet — the D->Q queue depth bounded by supervision —
@@ -307,23 +585,13 @@ class Querier:
         self._backlog = 0
         self._send_timers: dict[int, object] = {}
         self._udp_socks: dict[str, object] = {}      # src -> UdpSocket
-        # src -> {msg_id: result}: the ids taken on a source's socket.
-        self._udp_pending: dict[str, dict[int, QueryResult]] = {}
-        self._udp_inflight: dict[tuple[str, int], _Inflight] = {}
-        self._tcp_channels: dict[tuple[str, str], _TcpChannel] = {}
+        self._tcp_channels: dict[tuple[str, str], _Channel] = {}
         # One QUIC client per emulated source: per-source sockets AND
         # per-source session-ticket state (a source's 0-RTT eligibility
         # must not leak to other sources).
         self._quic_clients: dict[str, QuicClient] = {}
-        # src -> (connection, pending {msg_id: result})
-        self._quic_conns: dict[str, tuple[object, dict]] = {}
-        self._quic_timers: dict[tuple[str, int], object] = {}
-        self._msg_seq = 0
+        self._quic_conns: dict[str, _Channel] = {}
         self._last_scheduled: float | None = None
-        # Online invariant hook (repro.check.invariants): when the
-        # engine runs with ReplayConfig(check=True) this points at the
-        # InvariantChecker, which validates each message-id allocation.
-        self.check = None
 
     # -- control plane ------------------------------------------------------
 
@@ -368,6 +636,15 @@ class Querier:
         send has not fired yet (the D->Q queue)."""
         return self._backlog
 
+    def quiescent(self, horizon: float) -> bool:
+        """Nothing pending, orphaned or connected (open stream and
+        QUIC state cannot be checkpointed), and no parked ΔT send due
+        before *horizon*."""
+        return not (self.pending_count() or self._orphans
+                    or self._tcp_channels or self._quic_conns
+                    or any(event.time < horizon
+                           for event in self._send_timers.values()))
+
     # -- sending ------------------------------------------------------------------
 
     def _send_later(self, record: QueryRecord, scheduled: float) -> None:
@@ -387,57 +664,13 @@ class Querier:
             self.host.scheduler.at(actual, self._send_now, record,
                                    scheduled)
         else:
-            self._send_now(record, scheduled)
-
-    def _next_msg_id(self, taken) -> int:
-        """Advance the id sequence, skipping ids still pending for the
-        same destination socket/channel: a wrapped id colliding with an
-        in-flight query would complete the wrong QueryResult."""
-        for _ in range(0x10000):
-            self._msg_seq = (self._msg_seq + 1) & 0xFFFF
-            if self._msg_seq not in taken:
-                return self._msg_seq
-        raise RuntimeError(f"{self.name}: 65536 queries pending on one "
-                           "socket; no free message id")
-
-    def _taken_ids(self, record: QueryRecord):
-        if record.proto == "udp":
-            return self._udp_pending.get(record.src, ())
-        if record.proto == "quic":
-            entry = self._quic_conns.get(record.src)
-            return entry[1].keys() if entry is not None else ()
-        channel = self._tcp_channels.get((record.src, record.proto))
-        return channel.pending.keys() if channel is not None else ()
+            self.start(record, scheduled)
 
     def _send_now(self, record: QueryRecord, scheduled: float) -> None:
         if self.crashed:
             self._orphans.append(record)
             return
-        msg_id = self._next_msg_id(self._taken_ids(record))
-        if self.check is not None:
-            self.check.on_msg_id(self, record, msg_id)
-        wire = self.wire.query(record, msg_id)
-        now = self.host.scheduler.now
-        result = QueryResult(record=record, send_time=now,
-                             scheduled_time=scheduled)
-        self.results.append(result)
-        self.sent += 1
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter("replay.queries_sent").inc()
-            obs.metrics.counter(f"replay.queries_{record.proto}").inc()
-            # The §2.6 fidelity number: how late the send fired versus
-            # its ΔT-scheduled time (timer slop + send-path occupancy).
-            obs.metrics.histogram("replay.timing_error").record(
-                now - scheduled)
-            obs.tracer.emit("querier.send", scheduled, now,
-                            detail=record.proto)
-        if record.proto == "udp":
-            self._send_udp(record, wire, msg_id, result)
-        elif record.proto == "quic":
-            self._send_quic(record, wire, msg_id, result)
-        else:
-            self._send_stream(record, wire, msg_id, result)
+        self.start(record, scheduled)
 
     # -- crash / failover (repro.replay.supervisor) -------------------------------
 
@@ -453,7 +686,6 @@ class Querier:
         supervision behavior the regression tests pin."""
         if self.crashed:
             return
-        self.crashed = True
         # ΔT timers for records not yet on the wire: cancel each and
         # orphan its record now, so the supervisor's one-shot drain at
         # detection time sees the whole backlog — waiting for the
@@ -464,429 +696,127 @@ class Querier:
             self._orphans.append(event.args[0])
         self._send_timers.clear()
         self._backlog = 0
-        for pending in self._udp_pending.values():
-            for result in pending.values():
-                self._fail_over_result(result)
-        for inflight in self._udp_inflight.values():
-            inflight.cancel()
-        self._udp_pending.clear()
-        self._udp_inflight.clear()
-        for key, channel in list(self._tcp_channels.items()):
-            for result in channel.pending.values():
-                self._fail_over_result(result)
-            for inflight in channel.inflight.values():
-                inflight.cancel()
-            channel.pending.clear()
-            channel.inflight.clear()
+        super().crash()
+        for channel in self._tcp_channels.values():
             # Abandon, don't "recover": the process owning the socket
             # is gone.
-            session = channel.session
-            session.on_closed = None
-            if session is not channel.conn:
-                channel.conn.on_closed = None
+            channel.session.on_closed = channel.conn.on_closed = None
             channel.conn.close()
         self._tcp_channels.clear()
-        for src, (conn, pending) in list(self._quic_conns.items()):
-            for msg_id, result in pending.items():
-                self._cancel_quic_timer(src, msg_id)
-                self._fail_over_result(result)
-            pending.clear()
-            conn.on_closed = None
+        for channel in self._quic_conns.values():
+            if channel.conn is not None:
+                channel.conn.on_closed = None
         self._quic_conns.clear()
-
-    def _fail_over_result(self, result: QueryResult) -> None:
-        if result.response_time is not None:
-            return
-        result.failed_over = True
-        self.failed_over += 1
-        self._count("replay.failed_over")
 
     def take_orphans(self) -> list[QueryRecord]:
         """Drain the records stranded by a crash (for re-dispatch)."""
         orphans, self._orphans = self._orphans, []
         return orphans
 
-    # -- resilience bookkeeping ---------------------------------------------------
+    # -- transport (the QueryCore driver surface) -------------------------
 
-    def _count(self, name: str) -> None:
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter(name).inc()
+    def _arm(self, delay: float, p: Pending):
+        return self.host.scheduler.after(delay, self.on_timer, p)
 
-    def _timeout_result(self, result: QueryResult) -> None:
-        """The retry policy is exhausted: account, never strand."""
-        result.timed_out = True
-        self.timeouts += 1
-        self._count("replay.timeouts")
+    def _channel(self, src: str, proto: str):
+        if proto == "udp":
+            return self._udp_socks.get(src)
+        if proto == "quic":
+            return self._quic_conns.get(src)
+        return self._tcp_channels.get((src, proto))
 
-    def _note_recovered(self, result: QueryResult) -> None:
-        if result.attempts > 1 or result.fell_back:
-            self.recovered += 1
-            self._count("replay.recovered")
-
-    def _note_malformed(self) -> None:
-        self.malformed += 1
-        self._count("replay.malformed_responses")
-
-    # -- UDP ---------------------------------------------------------------------------
-
-    def _udp_socket_for(self, src: str):
-        sock = self._udp_socks.get(src)
-        if sock is None:
-            sock = self.host.udp_socket()
-            # Bind the original source identity into the callback so a
-            # response is matched against the right source's queries.
-            sock.on_datagram = (
-                lambda payload, _addr, _port, src=src:
-                self._on_udp_response(src, payload))
-            self._udp_socks[src] = sock
-        return sock
-
-    def _send_udp(self, record: QueryRecord, wire: bytes, msg_id: int,
-                  result: QueryResult) -> None:
-        sock = self._udp_socket_for(record.src)
-        key = (record.src, msg_id)
-        pending = self._udp_pending.get(record.src)
-        if pending is None:
-            pending = self._udp_pending[record.src] = {}
-        pending[msg_id] = result
-        if self.resilience is not None:
-            inflight = _Inflight(wire=wire)
-            self._udp_inflight[key] = inflight
-            inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._udp_timeout, key)
-        sock.sendto(wire, self.server_addr, self.dns_port)
-
-    def _udp_timeout(self, key: tuple[str, int]) -> None:
-        src, msg_id = key
-        pending = self._udp_pending.get(src, {})
-        result = pending.get(msg_id)
-        inflight = self._udp_inflight.get(key)
-        if result is None or inflight is None:
-            return
-        if result.attempts <= self.resilience.max_retries:
-            # Retransmit the same datagram — same message id, so a late
-            # response to any attempt still matches (RFC 1035 §4.2.1).
-            result.attempts += 1
-            self.retransmits += 1
-            self._count("replay.retransmits")
-            inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._udp_timeout, key)
-            self._udp_socket_for(src).sendto(
-                inflight.wire, self.server_addr, self.dns_port)
-            return
-        del pending[msg_id]
-        del self._udp_inflight[key]
-        self._timeout_result(result)
-
-    def _on_udp_response(self, src: str, payload: bytes) -> None:
-        if self.crashed:
-            return
-        try:
-            msg_id, flags, rcode, edns = self.wire.decode_response(payload)
-        except WireError:
-            self._note_malformed()
-            return
-        pending = self._udp_pending.get(src, {})
-        result = pending.get(msg_id)
-        if result is None or result.response_time is not None:
-            return
-        key = (src, msg_id)
-        if (self.resilience is not None and self.resilience.tcp_fallback
-                and flags & Flag.TC and not result.fell_back):
-            self._fall_back_to_tcp(key, result)
-            return
-        del pending[msg_id]
-        inflight = self._udp_inflight.pop(key, None)
-        if inflight is not None:
-            inflight.cancel()
-        self._note_recovered(result)
-        self._complete(result, rcode, edns, len(payload))
-
-    def _fall_back_to_tcp(self, key: tuple[str, int],
-                          result: QueryResult) -> None:
-        """The UDP answer was truncated: retry this query over the
-        source's TCP channel (RFC 7766), keeping the original
-        send_time so the measured latency includes the fallback."""
-        src, msg_id = key
-        del self._udp_pending[src][msg_id]
-        inflight = self._udp_inflight.pop(key, None)
-        if inflight is not None:
-            inflight.cancel()
-        wire = inflight.wire if inflight is not None else None
-        if wire is None:
-            return
-        result.fell_back = True
-        self.tcp_fallbacks += 1
-        self._count("replay.tcp_fallbacks")
-        channel = self._channel_for(src, "tcp")
-        if msg_id in channel.pending:
-            # The id is busy on the TCP channel: re-id the query (the
-            # id lives in the first two wire bytes).
-            msg_id = self._next_msg_id(channel.pending.keys())
-            if self.check is not None:
-                self.check.on_msg_id(self, result.record.with_(
-                    proto="tcp"), msg_id, scan=False)
-            wire = msg_id.to_bytes(2, "big") + wire[2:]
-        self._enqueue_stream(channel, "tcp", wire, msg_id, result)
-
-    # -- TCP / TLS --------------------------------------------------------------------------
-
-    def _channel_for(self, src: str, proto: str) -> _TcpChannel:
+    def _open(self, src: str, proto: str):
+        if proto == "udp":
+            sock = self._udp_socks.get(src)
+            if sock is None:
+                sock = self._udp_socks[src] = self.host.udp_socket()
+                sock.on_datagram = (
+                    lambda payload, _addr, _port, sock=sock:
+                    self.on_response(sock, payload))
+            return sock
+        if proto == "quic":
+            channel = self._quic_conns.get(src)
+            if channel is None:
+                # Connects on its first transmit (see _send_quic).
+                channel = self._quic_conns[src] = _Channel(src, proto)
+            return channel
         key = (src, proto)
         channel = self._tcp_channels.get(key)
         if channel is not None and channel.conn.state in (
                 "ESTABLISHED", "SYN_SENT", "SYN_RCVD"):
             return channel
         if channel is not None:
-            self._reap_channel(key, channel)
-        channel = self._open_channel(proto, key)
-        self._tcp_channels[key] = channel
+            del self._tcp_channels[key]
+            self.channel_lost(channel, resend=False)
+        channel = self._tcp_channels[key] = self._connect(src, proto)
         return channel
 
-    def _open_channel(self, proto: str, key: tuple) -> _TcpChannel:
-        if proto == "tcp":
-            conn = self.host.tcp_connect(self.server_addr, self.dns_port)
-            conn.nagle = self.nagle
-            channel = _TcpChannel(conn=conn, session=conn,
-                                  framer=None, key=key, established=True)
-            channel.framer = LengthPrefixFramer(
-                lambda wire, ch=channel: self._on_stream_response(ch, wire))
-            conn.on_data = channel.framer.feed
-            conn.on_closed = lambda: self._on_channel_closed(key)
-            return channel
-        conn = self.host.tcp_connect(self.server_addr, self.tls_port)
+    def _connect(self, src: str, proto: str) -> _Channel:
+        tls = proto == "tls"
+        conn = self.host.tcp_connect(
+            self.server_addr, self.tls_port if tls else self.dns_port)
         conn.nagle = self.nagle
-        tls = TlsConnection.client(conn)
-        channel = _TcpChannel(conn=conn, session=tls, framer=None,
-                              key=key, established=False)
-        channel.framer = LengthPrefixFramer(
-            lambda wire, ch=channel: self._on_stream_response(ch, wire))
-        tls.on_data = channel.framer.feed
-        tls.on_established = lambda: self._flush_tls(channel)
-        tls.on_closed = lambda: self._on_channel_closed(key)
+        channel = _Channel(src, proto, conn,
+                           TlsConnection.client(conn) if tls else conn,
+                           established=not tls)
+        session = channel.session
+        session.on_data = LengthPrefixFramer(
+            lambda wire: self.on_response(channel, wire)).feed
+        if tls:
+            session.on_established = lambda: self._flush_tls(channel)
+        session.on_closed = lambda: self._on_channel_closed((src, proto))
         return channel
 
-    def _flush_tls(self, channel: _TcpChannel) -> None:
+    def _flush_tls(self, channel: _Channel) -> None:
         channel.established = True
         for framed in channel.backlog:
             channel.session.send(framed)
         channel.backlog.clear()
 
-    def _send_stream(self, record: QueryRecord, wire: bytes, msg_id: int,
-                     result: QueryResult) -> None:
-        channel = self._channel_for(record.src, record.proto)
-        self._enqueue_stream(channel, record.proto, wire, msg_id, result)
-
-    def _enqueue_stream(self, channel: _TcpChannel, proto: str,
-                        wire: bytes, msg_id: int,
-                        result: QueryResult) -> None:
-        channel.pending[msg_id] = result
-        framed = frame_message(wire)
-        if self.resilience is not None:
-            inflight = _Inflight(wire=framed)
-            channel.inflight[msg_id] = inflight
-            # The timer resolves the channel by key when it fires: a
-            # reconnect may have moved this query to a fresh channel.
-            inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._stream_timeout, channel.key, msg_id)
-        if proto == "tls" and not channel.established:
-            channel.backlog.append(framed)
+    def _transmit(self, key, wire: bytes) -> None:
+        if key.__class__ is not _Channel:        # a source's UDP socket
+            key.sendto(wire, self.server_addr, self.dns_port)
+        elif key.proto == "quic":
+            self._send_quic(key, frame_message(wire))
+        elif key.established:
+            key.session.send(frame_message(wire))
         else:
-            channel.session.send(framed)
+            key.backlog.append(frame_message(wire))
 
-    def _stream_timeout(self, key: tuple, msg_id: int) -> None:
-        channel = self._tcp_channels.get(key)
-        if channel is None:
+    def _send_quic(self, channel: _Channel, framed: bytes) -> None:
+        if channel.conn is not None:
+            channel.conn.send_stream(channel.conn.open_stream(), framed)
             return
-        result = channel.pending.pop(msg_id, None)
-        if result is None:
-            return
-        inflight = channel.inflight.pop(msg_id, None)
-        if inflight is not None:
-            inflight.cancel()
-        self._timeout_result(result)
-        if channel.conn.state != "ESTABLISHED":
-            # Connect timeout: the handshake is wedged (the fabric's
-            # TCP has no segment retransmission), so abandon the
-            # connection; its close triggers the reconnect path for
-            # whatever else is pending on the channel.
-            channel.conn.close()
-
-    def _on_stream_response(self, channel: _TcpChannel,
-                            wire: bytes) -> None:
-        if self.crashed:
-            return
-        try:
-            msg_id, _flags, rcode, edns = self.wire.decode_response(wire)
-        except WireError:
-            self._note_malformed()
-            return
-        result = channel.pending.pop(msg_id, None)
-        if result is not None:
-            inflight = channel.inflight.pop(msg_id, None)
-            if inflight is not None:
-                inflight.cancel()
-            self._note_recovered(result)
-            self._complete(result, rcode, edns, len(wire))
-
-    def _on_channel_closed(self, key: tuple) -> None:
-        channel = self._tcp_channels.pop(key, None)
-        if channel is None:
-            return
-        if self.resilience is not None and channel.pending:
-            self._recover_channel(key, channel)
-        else:
-            self.unanswered_at_close += len(channel.pending)
-
-    def _recover_channel(self, key: tuple, channel: _TcpChannel) -> None:
-        """The channel died with queries outstanding: re-send each of
-        them once on a fresh channel; queries that already spent their
-        reconnect are accounted as timed out."""
-        fresh: _TcpChannel | None = None
-        for msg_id, result in list(channel.pending.items()):
-            inflight = channel.inflight.pop(msg_id, None)
-            if (not self.resilience.reconnect or inflight is None
-                    or inflight.resent):
-                if inflight is not None:
-                    inflight.cancel()
-                self._timeout_result(result)
-                continue
-            if fresh is None:
-                fresh = self._channel_for(*key)
-            inflight.resent = True
-            result.attempts += 1
-            self.reconnects += 1
-            self._count("replay.reconnects")
-            fresh.pending[msg_id] = result
-            fresh.inflight[msg_id] = inflight
-            # Restart the per-query clock for the fresh attempt.
-            inflight.cancel()
-            inflight.timer = self.host.scheduler.after(
-                self.resilience.wait_for(result.attempts),
-                self._stream_timeout, key, msg_id)
-            if key[1] == "tls" and not fresh.established:
-                fresh.backlog.append(inflight.wire)
-            else:
-                fresh.session.send(inflight.wire)
-        channel.pending.clear()
-
-    def _reap_channel(self, key: tuple, channel: _TcpChannel) -> None:
-        self._tcp_channels.pop(key, None)
-        if self.resilience is not None:
-            for msg_id, result in channel.pending.items():
-                inflight = channel.inflight.pop(msg_id, None)
-                if inflight is not None:
-                    inflight.cancel()
-                self._timeout_result(result)
-            channel.pending.clear()
-        else:
-            self.unanswered_at_close += len(channel.pending)
-
-    # -- QUIC ------------------------------------------------------------------------------
-
-    def _send_quic(self, record: QueryRecord, wire: bytes, msg_id: int,
-                   result: QueryResult) -> None:
-        client = self._quic_clients.get(record.src)
+        client = self._quic_clients.get(channel.src)
         if client is None:
-            client = QuicClient(self.host)
-            self._quic_clients[record.src] = client
-        framed = frame_message(wire)
-        entry = self._quic_conns.get(record.src)
-        if entry is not None and not entry[0].closed:
-            conn, pending = entry
-            pending[msg_id] = result
-            self._arm_quic_timer(record.src, msg_id)
-            conn.send_stream(conn.open_stream(), framed)
-            return
-        pending = {msg_id: result}
+            client = self._quic_clients[channel.src] = QuicClient(self.host)
         # Reconnect: with a session ticket the request rides 0-RTT in
         # the Initial; the source's first connection pays the handshake.
-        conn = client.connect(self.server_addr, self.quic_port,
-                              zero_rtt_payloads=[framed])
-        conn.on_stream_data = (
-            lambda stream_id, data, p=pending, s=record.src:
-            self._on_quic_response(s, p, data))
-        conn.on_closed = lambda src=record.src: self._reap_quic(src)
-        self._quic_conns[record.src] = (conn, pending)
-        self._arm_quic_timer(record.src, msg_id)
+        conn = channel.conn = client.connect(
+            self.server_addr, self.quic_port, zero_rtt_payloads=[framed])
+        conn.on_stream_data = lambda _stream, data: LengthPrefixFramer(
+            lambda wire: self.on_response(channel, wire)).feed(data)
+        conn.on_closed = lambda: self._on_quic_closed(channel.src)
 
-    def _arm_quic_timer(self, src: str, msg_id: int) -> None:
-        if self.resilience is None:
-            return
-        self._quic_timers[(src, msg_id)] = self.host.scheduler.after(
-            self.resilience.wait_for(1), self._quic_timeout, src, msg_id)
+    def _on_channel_closed(self, key: tuple[str, str]) -> None:
+        channel = self._tcp_channels.pop(key, None)
+        if channel is not None:
+            self.channel_lost(channel, resend=True)
 
-    def _cancel_quic_timer(self, src: str, msg_id: int) -> None:
-        timer = self._quic_timers.pop((src, msg_id), None)
-        if timer is not None:
-            timer.cancel()
+    def _on_quic_closed(self, src: str) -> None:
+        channel = self._quic_conns.pop(src, None)
+        if channel is not None:
+            self.channel_lost(channel, resend=False)
 
-    def _quic_timeout(self, src: str, msg_id: int) -> None:
-        self._quic_timers.pop((src, msg_id), None)
-        entry = self._quic_conns.get(src)
-        if entry is None:
-            return
-        result = entry[1].pop(msg_id, None)
-        if result is not None and result.response_time is None:
-            self._timeout_result(result)
-
-    def _on_quic_response(self, src: str, pending: dict,
-                          framed: bytes) -> None:
-        framer = LengthPrefixFramer(
-            lambda wire: self._match_quic(src, pending, wire))
-        framer.feed(framed)
-
-    def _match_quic(self, src: str, pending: dict, wire: bytes) -> None:
-        if self.crashed:
-            return
-        try:
-            msg_id, _flags, rcode, edns = self.wire.decode_response(wire)
-        except WireError:
-            self._note_malformed()
-            return
-        result = pending.pop(msg_id, None)
-        if result is not None:
-            self._cancel_quic_timer(src, msg_id)
-            self._complete(result, rcode, edns, len(wire))
-
-    def _reap_quic(self, src: str) -> None:
-        entry = self._quic_conns.pop(src, None)
-        if entry is None:
-            return
-        if self.resilience is not None:
-            for msg_id, result in entry[1].items():
-                self._cancel_quic_timer(src, msg_id)
-                self._timeout_result(result)
-            entry[1].clear()
-        else:
-            self.unanswered_at_close += len(entry[1])
-
-    # -- completion ------------------------------------------------------------------------------
-
-    def _complete(self, result: QueryResult, rcode: int, edns,
-                  size: int) -> None:
-        result.response_time = self.host.scheduler.now
-        result.response_size = size
-        result.rcode = rcode
-        self.wire.learn(result.record.src, edns)
-        obs = self.host.scheduler.obs
-        if obs is not None:
-            obs.metrics.counter("replay.responses").inc()
-            obs.metrics.histogram("replay.latency").record(
-                result.response_time - result.send_time)
-            obs.tracer.emit("querier.response", result.send_time,
-                            result.response_time,
-                            detail=result.record.proto)
+    def _stalled(self, key) -> None:
+        # Connect timeout: the handshake is wedged (the fabric's TCP has
+        # no segment retransmission), so abandon the connection; its
+        # close triggers the reconnect path for whatever else is
+        # pending on the channel.
+        if key.proto != "quic" and key.conn.state != "ESTABLISHED":
+            key.conn.close()
 
     # -- checkpointing (repro.replay.supervisor) -------------------------------------------------
-
-    _STATE_COUNTERS = ("sent", "unanswered_at_close", "timeouts",
-                       "retransmits", "tcp_fallbacks", "reconnects",
-                       "recovered", "malformed", "failed_over")
 
     def state_dict(self) -> dict:
         """Checkpointable state: message-id sequence, timing baseline,
@@ -905,8 +835,7 @@ class Querier:
             "last_scheduled": self._last_scheduled,
             "backlog": [encode_record(event.args[0]).hex()
                         for event in self._send_timers.values()],
-            "counters": {key: getattr(self, key)
-                         for key in self._STATE_COUNTERS},
+            "counters": {key: getattr(self, key) for key in COUNTERS},
             "results": [_result_to_dict(r) for r in self.results],
         }
 
@@ -926,24 +855,3 @@ class Querier:
         for key, value in state["counters"].items():
             setattr(self, key, value)
         self.results = [_result_from_dict(r) for r in state["results"]]
-
-    # -- stats -----------------------------------------------------------------------------------
-
-    def latencies(self) -> list[float]:
-        return [r.latency for r in self.results if r.latency is not None]
-
-    def answered_fraction(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(1 for r in self.results if r.answered) \
-            / len(self.results)
-
-    def pending_count(self) -> int:
-        """Queries currently awaiting a response across every
-        transport — zero after a drained resilient run (nothing may
-        strand)."""
-        return (sum(len(pending) for pending in self._udp_pending.values())
-                + sum(len(ch.pending)
-                      for ch in self._tcp_channels.values())
-                + sum(len(entry[1])
-                      for entry in self._quic_conns.values()))

@@ -499,15 +499,8 @@ class Checkpointer:
             if distributor.queue_depth() or distributor.enroute \
                     or distributor._orphans:
                 return False
-        for querier in engine.queriers:
-            if querier.pending_count() or querier._orphans:
-                return False
-            if querier._tcp_channels or querier._quic_conns:
-                return False   # open stream state is not capturable
-            for event in querier._send_timers.values():
-                if event.time < now + self.guard:
-                    return False
-        return True
+        return all(querier.quiescent(now + self.guard)
+                   for querier in engine.queriers)
 
     def capture(self) -> ReplayCheckpoint:
         engine = self.engine

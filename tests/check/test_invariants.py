@@ -18,6 +18,7 @@ from repro.dns.rrset import RRset
 from repro.dns.zone import Zone, make_soa
 from repro.netsim import LinkParams, Simulator
 from repro.replay import ReplayConfig, ReplayEngine, ResilienceConfig
+from repro.replay.querier import Pending
 from repro.server import AuthoritativeServer
 from repro.trace.record import QueryRecord, Trace
 from repro.workloads.synthetic import synthetic_trace
@@ -141,7 +142,9 @@ def test_detects_finished_result_left_pending():
     engine = corrupted_engine()
     querier = engine.queriers[0]
     result = querier.results[0]
-    querier._udp_pending.setdefault(result.record.src, {})[9999] = result
+    key = querier._channel(result.record.src, result.record.proto)
+    querier.pending.setdefault(key, {})[9999] = Pending(
+        result, key, result.record.proto, 9999, b"")
     with pytest.raises(InvariantViolation, match="finished result"):
         verify_queriers(engine.queriers)
 
@@ -180,8 +183,9 @@ def test_on_msg_id_rejects_collisions_and_bad_ids():
     querier = engine.queriers[0]
     checker = querier.check
     record = querier.results[0].record
-    querier._udp_pending.setdefault(record.src, {})[1234] = \
-        querier.results[0]
+    key = querier._channel(record.src, record.proto)
+    querier.pending.setdefault(key, {})[1234] = Pending(
+        querier.results[0], key, record.proto, 1234, b"")
     with pytest.raises(InvariantViolation, match="collides"):
         checker.on_msg_id(querier, record, 1234, scan=False)
     with pytest.raises(InvariantViolation, match="outside"):

@@ -222,9 +222,9 @@ def test_sim_querier_counts_malformed_after_cached_answer():
 def test_live_querier_counts_malformed_after_cached_answer():
     querier = LiveQuerier("q", "127.0.0.1", 53)
     good = answer_wire(1)
-    querier._on_response_wire(good)
-    querier._on_response_wire(b"\x00\x02" + good[2:])     # memo hit
-    querier._on_response_wire(good[:2] + b"junk")
+    querier._udp.datagram_received(good, None)
+    querier._udp.datagram_received(b"\x00\x02" + good[2:], None)  # memo hit
+    querier._udp.datagram_received(good[:2] + b"junk", None)
     assert querier.malformed == 1
 
 
@@ -251,7 +251,9 @@ def test_id_pending_on_one_source_does_not_block_another():
     querier._msg_seq = 0                # the next id would be 1 again
     querier.handle_record_fast(b)
     sim.run_until_idle()
-    assert {src: list(ids) for src, ids in querier._udp_pending.items()} \
+    assert {pending.result.record.src: list(table)
+            for table in querier.pending.values()
+            for pending in table.values()} \
         == {"172.16.0.1": [1], "172.16.0.2": [1]}
     assert querier.pending_count() == 2
     querier.crash()

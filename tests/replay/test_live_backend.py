@@ -13,9 +13,10 @@ import pytest
 
 from repro.dns.message import Message
 from repro.netsim.framing import LengthPrefixFramer, frame_message
-from repro.replay import ReplayConfig
+from repro.replay import ReplayConfig, ResilienceConfig
 from repro.replay.backends import (LiveBackend, LiveDnsServer,
-                                   LiveReplayConfig, get_backend)
+                                   LiveQuerier, LiveReplayConfig,
+                                   get_backend)
 from repro.server.responder import DnsResponder
 from repro.trace.record import QueryRecord, Trace
 
@@ -187,6 +188,69 @@ def test_shutdown_drains_queued_responses():
     assert len(wires) == 1
     assert Message.from_wire(wires[0]).msg_id == 3
     assert established == 0
+
+
+# -- response matching -------------------------------------------------------
+
+
+def test_late_truncated_datagram_does_not_answer_the_tcp_retry():
+    """TC fallback moves a query to the TCP channel, so a duplicate
+    truncated UDP answer arriving while it waits there matches nothing:
+    the query ends with the TCP answer, at the TCP answer's time."""
+    tcp_delay = 0.15
+    responder = DnsResponder(zones=[make_example_zone()])
+
+    class TruncatingUdp(asyncio.DatagramProtocol):
+        def connection_made(self, transport):
+            self.transport = transport
+
+        def datagram_received(self, data, addr):
+            reply = bytearray(responder.reply_wire("udp", data, *addr))
+            reply[2] |= 0x02                           # the TC bit
+            self.transport.sendto(bytes(reply), addr)
+            asyncio.get_running_loop().call_later(
+                0.03, self.transport.sendto, bytes(reply), addr)
+
+    async def slow_tcp(reader, writer):
+        wires: list[bytes] = []
+        framer = LengthPrefixFramer(wires.append)
+        while not wires and (data := await reader.read(65536)):
+            framer.feed(data)
+        await asyncio.sleep(tcp_delay)
+        for wire in wires:
+            writer.write(frame_message(
+                responder.reply_wire("tcp", wire, "127.0.0.1", 0)))
+        await reader.read()             # hold until the client closes
+        writer.close()
+
+    async def go():
+        loop = asyncio.get_running_loop()
+        for _ in range(8):              # one port number for UDP and TCP
+            udp, _ = await loop.create_datagram_endpoint(
+                TruncatingUdp, local_addr=("127.0.0.1", 0))
+            port = udp.get_extra_info("sockname")[1]
+            try:
+                tcp = await asyncio.start_server(slow_tcp, "127.0.0.1",
+                                                 port)
+                break
+            except OSError:
+                udp.close()
+        querier = LiveQuerier("q", "127.0.0.1", port, fast=True,
+                              resilience=ResilienceConfig())
+        try:
+            await querier.replay([QueryRecord(
+                time=0.0, src="10.9.0.1", qname="www.example.com.")],
+                loop.time())
+        finally:
+            udp.close()
+            tcp.close()
+            await tcp.wait_closed()
+        return querier
+
+    querier = asyncio.run(go())
+    result, = querier.results
+    assert result.fell_back and result.answered
+    assert result.latency >= tcp_delay
 
 
 # -- the backend end-to-end ---------------------------------------------------

@@ -84,5 +84,5 @@ def test_different_sources_different_quic_connections():
     querier.handle_record(rec(0.0, src="b",
                               qname="mail.example.com."))
     sim.run(until=5.0)
-    assert len(querier._quic_conns) == 2
+    assert len(querier.pending) == 2        # one channel per source
     assert all(r.answered for r in querier.results)

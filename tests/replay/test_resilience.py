@@ -128,9 +128,9 @@ def blackholed_querier():
 
 def udp_pending_keys(querier):
     """(src, msg_id) of every UDP query awaiting a response."""
-    for src, pending in querier._udp_pending.items():
-        for msg_id in pending:
-            yield src, msg_id
+    for table in querier.pending.values():
+        for msg_id, pending in table.items():
+            yield pending.result.record.src, msg_id
 
 
 def test_wrapped_msg_id_skips_pending_ids():

@@ -168,12 +168,12 @@ def test_index_and_client_units_are_order_free():
 def test_deprecated_wrapper_modules_removed():
     """`repro.trace.mutate` and the stream operator wrappers (warned
     in 1.4) are gone; each rewrite has exactly one definition, its
-    pipeline op."""
-    import repro.trace.stream as stream
+    pipeline op.  The stream codec went too: framing is
+    `netsim.framing.LengthPrefixFramer`, records are `binaryform`."""
     with pytest.raises(ImportError):
         from repro.trace import mutate  # noqa: F401
-    assert not hasattr(stream, "pipeline")
-    assert not hasattr(stream, "set_protocol_stream")
+    with pytest.raises(ImportError):
+        import repro.trace.stream  # noqa: F401
 
 
 def encode(record):
