@@ -9,7 +9,6 @@ A`` queries, fast mode, one client instance, six queriers) and records
 * wall-clock replay throughput (queries served / second),
 * scheduler events per wall-second,
 * the answer-cache hit rate (the NSD precompiled-answer analogue),
-* how many timers the wheel absorbed vs. the far-future heap,
 
 into the repo-root ``BENCH_perf.json`` via
 :func:`benchmarks.reporting.record_perf`.  CI runs this on every push,
@@ -46,15 +45,14 @@ def _calibrate(iterations: int = 2_000_000) -> float:
     return iterations / elapsed
 
 
-def _run_fig9(answer_cache: bool = True, timer_wheel: bool = True):
+def _run_fig9(answer_cache: bool = True):
     records = [QueryRecord(time=0.0, src="172.16.0.1",
                            qname="www.example.com.")] * QUERIES
     world = authoritative_world([wildcard_zone()], mode="direct",
                                 client_instances=1,
                                 queriers_per_instance=6,
                                 timing_jitter=True,
-                                answer_cache=answer_cache,
-                                timer_wheel=timer_wheel, seed=9)
+                                answer_cache=answer_cache, seed=9)
     world.engine.config.fast = True
     world.engine.config.reader_cost = GENERATOR_COST
     t0 = time.perf_counter()
@@ -83,17 +81,13 @@ def test_bench_perf_fig9_fast_replay():
                                      1),
         "answer_cache_hit_rate": round(cache.hit_rate(), 4),
         "answer_cache_entries": len(cache),
-        "wheel_scheduled": scheduler.wheel_scheduled,
-        "heap_scheduled": scheduler.heap_scheduled,
     }
     record_perf("fig9_fast_udp", payload)
     record("perf_fig9_fast_udp", [
         f"fast-mode replay: {qps:,.0f} q/s wall-clock "
         f"({served:,} queries in {wall:.2f}s)",
         f"scheduler: {scheduler.events_processed:,} events, "
-        f"{scheduler.events_processed / wall:,.0f} events/wall-sec "
-        f"(wheel {scheduler.wheel_scheduled:,} / "
-        f"heap {scheduler.heap_scheduled:,})",
+        f"{scheduler.events_processed / wall:,.0f} events/wall-sec",
         f"answer cache: hit rate {cache.hit_rate():.1%} "
         f"({len(cache)} entries)",
         f"normalized throughput: {normalized:.2f} q/s per M-ops/s "

@@ -7,6 +7,9 @@ tests/dns and tests/trace:
 * **valid inputs** — :func:`dns_names`, :func:`dns_messages`,
   :func:`wire_messages`, :func:`query_records`: structurally valid
   values for round-trip properties;
+* **scheduler programs** — :func:`scheduler_programs`: nested
+  ``at``/``after``/``cancel`` call sequences for event-order
+  properties;
 * **hostile inputs** — :func:`hostile_wire`,
   :func:`hostile_trace_binary`, :func:`hostile_trace_lines`: either
   raw noise or a *valid* value put through targeted mutations —
@@ -226,6 +229,34 @@ def hostile_trace_lines(draw) -> str:
         fields.append(draw(st.text(alphabet="abc0123", min_size=1,
                                    max_size=8)))
     return " ".join(fields)
+
+
+# -- event-scheduler programs -------------------------------------------------
+
+# Times and delays with many exact ties (insertion order decides), plus
+# far-future values past 128 s (TIME_WAIT-scale timers and beyond).
+_SCHEDULER_TIMES = st.one_of(
+    st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+    st.floats(0.0, 10.0, allow_nan=False),
+    st.floats(128.0, 1000.0, allow_nan=False))
+
+
+@st.composite
+def scheduler_programs(draw, depth: int = 2) -> list:
+    """Programs for :class:`repro.netsim.clock.Scheduler`: a list of
+    ``("at", time, children)``, ``("after", delay, children)`` and
+    ``("cancel", index)`` ops.  *children* is a nested program run from
+    inside the callback when its event fires; *index* picks an
+    already-scheduled event (modulo the count so far) to cancel."""
+    ops = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("at", "after", "cancel")))
+        if kind == "cancel":
+            ops.append(("cancel", draw(st.integers(0, 63))))
+        else:
+            children = draw(scheduler_programs(depth - 1)) if depth else []
+            ops.append((kind, draw(_SCHEDULER_TIMES), children))
+    return ops
 
 
 # -- the budgeted never-crash runner ------------------------------------------

@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.netsim.network import LinkParams
+from repro.util.codec import DictCodec
 
 
 @dataclass(frozen=True)
@@ -138,13 +139,9 @@ class DistributorLag:
 FaultEvent = (LossBurst | DelaySpike | LinkDown | ServerPause
               | QuerierCrash | DistributorLag)
 
-_EVENT_KINDS = {cls.kind: cls for cls in
-                (LossBurst, DelaySpike, LinkDown, ServerPause,
-                 QuerierCrash, DistributorLag)}
-
 
 @dataclass
-class FaultPlan:
+class FaultPlan(DictCodec):
     """An ordered schedule of fault events for one run."""
 
     events: list[FaultEvent] = field(default_factory=list)
@@ -182,45 +179,6 @@ class FaultPlan:
         """When the last event window closes."""
         return max((e.start + e.duration for e in self.events),
                    default=0.0)
-
-    # -- serialization ----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = []
-        for event in self.events:
-            entry = {"kind": event.kind, "start": event.start,
-                     "duration": event.duration}
-            if isinstance(event, LossBurst):
-                entry["loss"] = event.loss
-            if isinstance(event, DelaySpike):
-                entry["extra_delay"] = event.extra_delay
-            if isinstance(event, (LossBurst, DelaySpike, LinkDown)) \
-                    and event.hosts is not None:
-                entry["hosts"] = list(event.hosts)
-            if isinstance(event, ServerPause):
-                entry["host"] = event.host
-                entry["restart"] = event.restart
-            if isinstance(event, (QuerierCrash, DistributorLag)):
-                entry["target"] = event.target
-            if isinstance(event, DistributorLag):
-                entry["factor"] = event.factor
-            out.append(entry)
-        return {"events": out}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        plan = cls()
-        for entry in data.get("events", []):
-            entry = dict(entry)
-            kind = entry.pop("kind")
-            event_cls = _EVENT_KINDS.get(kind)
-            if event_cls is None:
-                raise ValueError(f"unknown fault event kind {kind!r}")
-            if "hosts" in entry and entry["hosts"] is not None:
-                entry["hosts"] = tuple(entry["hosts"])
-            plan.add(event_cls(**entry))
-        plan.validate()
-        return plan
 
 
 class FaultInjector:

@@ -162,7 +162,7 @@ class MetricsRegistry:
 
     def counter(self, name: str, volatile: bool = False) -> Counter:
         """*volatile* counters track implementation details (answer-
-        cache hits, wheel routing) that legitimately differ between
+        cache hits and misses) that legitimately differ between
         configurations which must otherwise produce byte-identical
         snapshots; like volatile gauges they only appear with
         ``include_volatile=True``."""

@@ -55,6 +55,7 @@ from repro.netsim.quic import QuicClient
 from repro.netsim.tls import TlsConnection
 from repro.replay.timing import ReplayTimer
 from repro.trace.record import QueryRecord
+from repro.util.codec import DictCodec
 
 TLS_PORT = 853
 QUIC_PORT = 8853
@@ -100,7 +101,7 @@ class QuerierConfig:
 
 
 @dataclass
-class QueryResult:
+class QueryResult(DictCodec):
     record: QueryRecord
     send_time: float
     scheduled_time: float
@@ -224,20 +225,6 @@ class ClientWire:
         """Note a matched response from *src* (cookie runs only)."""
         if self.cookies:
             learn_cookie(edns, src, self.server_cookies)
-
-
-def _result_to_dict(result: QueryResult) -> dict:
-    """Round-trippable form of one result (checkpoint payload)."""
-    from dataclasses import asdict
-    out = asdict(result)
-    out["record"] = asdict(result.record)
-    return out
-
-
-def _result_from_dict(data: dict) -> QueryResult:
-    data = dict(data)
-    data["record"] = QueryRecord(**data["record"])
-    return QueryResult(**data)
 
 
 # The accounting every querier keeps: checkpointed, and checked
@@ -836,7 +823,7 @@ class Querier(QueryCore):
             "backlog": [encode_record(event.args[0]).hex()
                         for event in self._send_timers.values()],
             "counters": {key: getattr(self, key) for key in COUNTERS},
-            "results": [_result_to_dict(r) for r in self.results],
+            "results": [r.to_dict() for r in self.results],
         }
 
     def load_state(self, state: dict) -> None:
@@ -854,4 +841,5 @@ class Querier(QueryCore):
         self._last_scheduled = state["last_scheduled"]
         for key, value in state["counters"].items():
             setattr(self, key, value)
-        self.results = [_result_from_dict(r) for r in state["results"]]
+        self.results = [QueryResult.from_dict(r)
+                        for r in state["results"]]

@@ -39,7 +39,9 @@ byte-identical legacy reports.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.util.codec import DictCodec
 
 CHECKPOINT_VERSION = 1
 
@@ -47,7 +49,7 @@ _QUEUE_POLICIES = ("stall", "shed")
 
 
 @dataclass(frozen=True)
-class SupervisionConfig:
+class SupervisionConfig(DictCodec):
     """Knobs for the replay supervision layer.
 
     ``heartbeat_interval`` is how often distributor endpoints beat;
@@ -88,20 +90,6 @@ class SupervisionConfig:
             raise ValueError("checkpoint_interval must be > 0, got "
                              f"{self.checkpoint_interval}")
 
-    def to_dict(self) -> dict:
-        return {
-            "heartbeat_interval": self.heartbeat_interval,
-            "detection_timeout": self.detection_timeout,
-            "high_water": self.high_water,
-            "queue_policy": self.queue_policy,
-            "checkpoint_interval": self.checkpoint_interval,
-            "checkpoint_guard": self.checkpoint_guard,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SupervisionConfig":
-        return cls(**data)
-
 
 def next_tick(now: float, interval: float) -> float:
     """The first absolute multiple of *interval* strictly after *now*.
@@ -132,7 +120,7 @@ def rendezvous(key: str, candidates: list[str]) -> str:
 
 
 @dataclass
-class ReplayCheckpoint:
+class ReplayCheckpoint(DictCodec):
     """A quiescent-instant snapshot of a supervised distributed replay.
 
     Round-trips through plain dicts like :class:`FaultPlan`, so
@@ -143,38 +131,24 @@ class ReplayCheckpoint:
 
     time: float
     seed: int
-    controllers: list[dict] = field(default_factory=list)
-    distributors: list[dict] = field(default_factory=list)
-    queriers: list[dict] = field(default_factory=list)
-    server: dict = field(default_factory=dict)
-    counters: dict = field(default_factory=dict)
+    controllers: list[dict]
+    distributors: list[dict]
+    queriers: list[dict]
+    server: dict
+    counters: dict
 
     def to_dict(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "time": self.time,
-            "seed": self.seed,
-            "controllers": self.controllers,
-            "distributors": self.distributors,
-            "queriers": self.queriers,
-            "server": self.server,
-            "counters": self.counters,
-        }
+        return {"version": CHECKPOINT_VERSION, **super().to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReplayCheckpoint":
-        version = data.get("version")
+        body = dict(data)
+        version = body.pop("version", None)
         if version != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {version!r} "
                 f"(expected {CHECKPOINT_VERSION})")
-        return cls(time=data["time"], seed=data["seed"],
-                   controllers=data["controllers"],
-                   distributors=data["distributors"],
-                   queriers=data["queriers"],
-                   server=data["server"],
-                   counters=data["counters"])
-
+        return super().from_dict(body)
 
 class Supervisor:
     """Watches a supervised replay: liveness, failover, backpressure.

@@ -13,9 +13,9 @@ The cache is production-shaped, configured by :class:`CacheConfig`:
   one LRU order (dict insertion order, touch-on-hit); inserting past
   capacity evicts the least recently used entry;
 * **bucketed expiry index** — entries are indexed by reclaim deadline
-  into coarse time buckets (the :mod:`repro.netsim.clock` wheel
-  pattern: O(1) insert, drain-by-cursor), so expired entries are
-  reclaimed incrementally on writes instead of by full scans;
+  into one-second buckets drained oldest-first off a min-heap of bucket
+  ticks, so expired entries are reclaimed incrementally on writes
+  instead of by full scans;
 * **serve-stale** (RFC 8767) — with ``serve_stale`` expired positive
   entries are retained for ``stale_ttl`` seconds and can be served (at
   ``stale_answer_ttl``) when every upstream has failed;
@@ -38,12 +38,13 @@ historical semantics, so existing worlds replay byte-identically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.dns.constants import RRType
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
+from repro.util.codec import DictCodec
 
 # Fixed per-entry bookkeeping estimate (dict slot, entry object, index
 # reference) added to the wire-ish payload size in `memory_bytes`.
@@ -56,14 +57,13 @@ EXPIRY_GRANULARITY = 1.0
 
 
 @dataclass(frozen=True)
-class CacheConfig:
+class CacheConfig(DictCodec):
     """Resolver-cache policy knobs (docs/RECURSIVE.md).
 
     Defaults reproduce the historical cache exactly: unbounded, no
-    serve-stale, no prefetch.  Round-trips through plain dicts like
-    :class:`~repro.netsim.faults.FaultPlan` and
-    :class:`~repro.server.overload.OverloadConfig` so scenario files
-    can carry the cache posture next to the trace."""
+    serve-stale, no prefetch.  Round-trips through plain dicts
+    (:class:`~repro.util.codec.DictCodec`) so scenario files can carry
+    the cache posture next to the trace."""
 
     max_entries: int | None = None      # None = unbounded (legacy)
     serve_stale: bool = False           # RFC 8767
@@ -98,30 +98,6 @@ class CacheConfig:
             raise ValueError(
                 f"prefetch_min_hits must be >= 1, got "
                 f"{self.prefetch_min_hits}")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_entries": self.max_entries,
-            "serve_stale": self.serve_stale,
-            "stale_ttl": self.stale_ttl,
-            "stale_answer_ttl": self.stale_answer_ttl,
-            "prefetch": self.prefetch,
-            "prefetch_fraction": self.prefetch_fraction,
-            "prefetch_top_k": self.prefetch_top_k,
-            "prefetch_min_hits": self.prefetch_min_hits,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
-        known = {f.name for f in
-                 cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown cache config keys: {sorted(unknown)}")
-        config = cls(**data)
-        config.validate()
-        return config
 
 
 @dataclass
@@ -168,7 +144,7 @@ class DnsCache:
         # order (hits re-insert at the end when the cache is bounded).
         self._entries: dict[tuple[int, Name, int],
                             _PositiveEntry | NegativeEntry] = {}
-        # Expiry index: reclaim-deadline buckets (clock-wheel pattern).
+        # Expiry index: reclaim-deadline tick -> keys; ticks min-heap.
         self._buckets: dict[int, list[tuple[int, Name, int]]] = {}
         self._tick_heap: list[int] = []
         # Refresh-ahead state: hot-set (key -> hits) and in-flight

@@ -1,10 +1,11 @@
 """Tests for the event scheduler."""
 
-import random
 import timeit
 
-from repro.netsim.clock import (WHEEL_GRANULARITY, WHEEL_SLOTS,
-                                Scheduler, TimerWheel)
+from hypothesis import given
+
+from repro.check.fuzzing import scheduler_programs
+from repro.netsim.clock import Scheduler
 
 
 def test_events_fire_in_time_order():
@@ -117,66 +118,27 @@ def test_daemon_events_run_within_bounded_window():
     assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
-# -- timer wheel --------------------------------------------------------
-
-WHEEL_HORIZON = WHEEL_GRANULARITY * WHEEL_SLOTS
-
-
-def run_order(wheel: bool, schedule) -> list:
-    """Execute *schedule(sched)* and return the observed firing order."""
-    sched = Scheduler(wheel=wheel)
-    fired = []
-    schedule(sched, fired)
-    sched.run_until_idle()
-    return fired
-
-
-def test_wheel_and_heap_schedulers_fire_identically():
-    """The same randomized schedule fires in the same order (and at
-    the same times) with and without the wheel."""
-    def schedule(sched, fired):
-        rng = random.Random(42)
-        for i in range(500):
-            # Mix of sub-horizon, exact-tick, and beyond-horizon times.
-            t = rng.choice([
-                rng.uniform(0.0, 1.0),
-                rng.randrange(200) * WHEEL_GRANULARITY,
-                rng.uniform(WHEEL_HORIZON, 3 * WHEEL_HORIZON),
-            ])
-            sched.at(t, lambda i=i: fired.append((sched.now, i)))
-
-    assert run_order(True, schedule) == run_order(False, schedule)
-
-
-def test_wheel_far_future_events_fall_back_to_heap():
-    sched = Scheduler(wheel=True)
-    fired = []
-    sched.at(2 * WHEEL_HORIZON, fired.append, "far")
-    sched.at(0.5, fired.append, "near")
-    assert sched.heap_scheduled == 1
-    assert sched.wheel_scheduled == 1
-    sched.run_until_idle()
-    assert fired == ["near", "far"]
-    assert sched.now == 2 * WHEEL_HORIZON
+# -- regressions first written for an earlier two-store scheduler -------
+# (a timer wheel in front of a far-future heap); each pins a behaviour
+# the single heap must keep.
 
 
 def test_wheel_same_tick_preserves_insertion_order():
-    """Events landing in one wheel slot still tie-break by seq."""
-    sched = Scheduler(wheel=True)
+    """Close distinct times inserted in reverse order fire in time
+    order; equal times tie-break by insertion."""
+    sched = Scheduler()
     fired = []
-    base = 100 * WHEEL_GRANULARITY
-    # Same tick, distinct times, inserted in reverse time order.
-    sched.at(base + WHEEL_GRANULARITY * 0.75, fired.append, "late")
-    sched.at(base + WHEEL_GRANULARITY * 0.25, fired.append, "early")
-    sched.at(base + WHEEL_GRANULARITY * 0.25, fired.append, "early2")
+    sched.at(1.0 + 0.75 / 64, fired.append, "late")
+    sched.at(1.0 + 0.25 / 64, fired.append, "early")
+    sched.at(1.0 + 0.25 / 64, fired.append, "early2")
     sched.run_until_idle()
     assert fired == ["early", "early2", "late"]
 
 
 def test_wheel_callback_scheduling_within_current_tick():
-    """A callback scheduling another event inside the already-drained
-    tick must still fire it (the `due` path), in order."""
-    sched = Scheduler(wheel=True)
+    """A callback scheduling at the current time fires that event
+    before the next already-queued one."""
+    sched = Scheduler()
     fired = []
 
     def first():
@@ -184,35 +146,28 @@ def test_wheel_callback_scheduling_within_current_tick():
         sched.after(0.0, fired.append, "nested")
 
     sched.at(0.5, first)
-    sched.at(0.5 + WHEEL_GRANULARITY, fired.append, "next-tick")
+    sched.at(0.5 + 1e-9, fired.append, "next")
     sched.run_until_idle()
-    assert fired == ["first", "nested", "next-tick"]
+    assert fired == ["first", "nested", "next"]
 
 
-def test_wheel_idle_jump_does_not_strand_cursor():
-    """After a long quiet gap, new near-future events still take the
-    wheel fast path (the empty-wheel cursor snap)."""
-    sched = Scheduler(wheel=True)
+def test_wheel_far_future_events_fall_back_to_heap():
+    """TIME_WAIT-scale and longer timers (beyond 128 s) interleave
+    correctly with near ones."""
+    sched = Scheduler()
     fired = []
-    sched.at(1.0, fired.append, "a")
+    sched.at(500.0, fired.append, "d")
+    sched.at(130.5, fired.append, "c")
+    sched.at(0.5, fired.append, "a")
+    sched.at(60.0, fired.append, "b")
     sched.run_until_idle()
-    sched.run(until=10 * WHEEL_HORIZON)
-    sched.after(1.0, fired.append, "b")
-    assert sched.heap_scheduled == 0
-    sched.run_until_idle()
-    assert fired == ["a", "b"]
-
-
-def test_wheel_insert_rejects_beyond_horizon():
-    wheel = TimerWheel()
-    assert wheel.insert((WHEEL_HORIZON + 1.0, 0, None), 0.0) is False
-    assert wheel.count == 0
-    assert wheel.insert((1.0, 1, None), 0.0) is True
-    assert wheel.count == 1
+    assert fired == ["a", "b", "c", "d"]
+    assert sched.now == 500.0
 
 
 def test_run_until_with_only_wheel_events_beyond_until():
-    sched = Scheduler(wheel=True)
+    """run(until=) with only later events leaves the clock at until."""
+    sched = Scheduler()
     fired = []
     sched.at(5.0, fired.append, "later")
     sched.run(until=1.0)
@@ -220,6 +175,93 @@ def test_run_until_with_only_wheel_events_beyond_until():
     assert fired == []
     sched.run_until_idle()
     assert fired == ["later"]
+
+
+def test_wheel_idle_jump_does_not_strand_cursor():
+    """after() following a long idle run(until=) is relative to the
+    new clock."""
+    sched = Scheduler()
+    fired = []
+    sched.at(1.0, fired.append, "a")
+    sched.run_until_idle()
+    sched.run(until=1280.0)
+    sched.after(1.0, fired.append, "b")
+    sched.run_until_idle()
+    assert fired == ["a", "b"]
+    assert sched.now == 1281.0
+
+
+# -- firing order against an independent model -------------------------
+
+
+def _run_program(program) -> list:
+    """Execute a :func:`scheduler_programs` program on the scheduler;
+    returns the ``(time, tag)`` firing sequence (tag = scheduling
+    order)."""
+    sched = Scheduler()
+    fired = []
+    events = []
+
+    def execute(ops):
+        for op in ops:
+            if op[0] == "cancel":
+                if events:
+                    events[op[1] % len(events)].cancel()
+                continue
+            kind, value, children = op
+            schedule = sched.at if kind == "at" else sched.after
+            events.append(schedule(value, fire, len(events), children))
+
+    def fire(tag, children):
+        fired.append((sched.now, tag))
+        execute(children)
+
+    execute(program)
+    sched.run_until_idle()
+    assert sched.pending() == 0
+    return fired
+
+
+def _reference_order(program) -> list:
+    """The same program on an independent model: a plain list, the
+    next event found by a linear (time, seq) minimum."""
+    now = 0.0
+    pending = []   # [time, seq, children, cancelled]
+    events = []
+    fired = []
+
+    def execute(ops):
+        for op in ops:
+            if op[0] == "cancel":
+                if events:
+                    events[op[1] % len(events)][3] = True
+                continue
+            kind, value, children = op
+            when = value if kind == "at" else now + max(0.0, value)
+            entry = [max(when, now), len(events), children, False]
+            events.append(entry)
+            pending.append(entry)
+
+    execute(program)
+    while pending:
+        entry = min(pending, key=lambda e: (e[0], e[1]))
+        pending.remove(entry)
+        if entry[3]:
+            continue
+        now = entry[0]
+        fired.append((now, entry[1]))
+        execute(entry[2])
+    return fired
+
+
+@given(scheduler_programs())
+def test_scheduler_fires_in_reference_order(program):
+    """Any mix of at/after/cancel calls, including calls made from
+    inside callbacks, fires exactly the non-cancelled events in
+    ``(time, seq)`` order."""
+    fired = _run_program(program)
+    assert fired == _reference_order(program)
+    assert fired == sorted(fired)
 
 
 # -- pending(): O(1) live counter --------------------------------------
@@ -251,8 +293,8 @@ def test_cancel_after_fire_does_not_underflow_pending():
 
 
 def test_pending_is_o1_under_mass_cancellation():
-    """pending() must not scan the timer stores: with 10k cancelled
-    events still buried in them, a pending() call costs the same as
+    """pending() must not scan the heap: with 10k cancelled
+    events still buried in it, a pending() call costs the same as
     with an almost-empty scheduler.  An O(heap) implementation is
     ~1000x slower here; the 20x bound leaves room for timer noise."""
     small = Scheduler()
