@@ -1,108 +1,111 @@
-"""CI gate: fail on a >20% throughput regression vs. the baseline.
+"""CI gate: one ``ldpbench`` run against ``benchmarks/baseline.json``.
 
-Usage (after the matching bench has written its repo-root file)::
+Usage, from the repository root::
 
-    python benchmarks/check_perf_regression.py          # perf suite
-    python benchmarks/check_perf_regression.py trace    # trace suite
+    python3 ldpbench/run.py --seconds 10 | tee ldpbench.txt
+    python benchmarks/check_perf_regression.py ldpbench.txt
 
-Suites:
+The last line of ``ldpbench.txt`` is ldpbench's JSON verdict, whose
+``metrics`` map is keyed ``workload/metric``.  ``baseline.json`` is a
+flat ``{"workload/metric": value}`` map of the pairs worth gating.  The
+direction (``better``) and tolerance (``bound``) of each metric come
+from the ``end_to_end`` list of ``BENCHMARK.json``, which this script
+only reads.  The gate fails (exit 1) when
 
-* ``perf`` — replay-engine throughput: ``pytest
-  benchmarks/test_bench_perf.py`` writes ``BENCH_perf.json``, checked
-  against ``benchmarks/perf_baseline.json``;
-* ``trace`` — trace-pipeline throughput: ``pytest
-  benchmarks/test_bench_trace.py`` writes ``BENCH_trace.json``,
-  checked against ``benchmarks/trace_baseline.json``;
-* ``live`` — live-backend loopback replay: ``pytest
-  benchmarks/test_bench_live.py`` writes ``BENCH_live.json``, checked
-  against ``benchmarks/live_baseline.json`` (a conservative q/s
-  floor — real sockets on shared CI hardware, so the bar is sanity,
-  not a tight ratchet; see docs/BACKENDS.md);
-* ``cache`` — resolver-cache policy sweep: ``pytest
-  benchmarks/test_bench_cache.py`` writes ``BENCH_cache.json``,
-  checked against ``benchmarks/cache_baseline.json`` (seeded hit
-  ratios gate tightly; ``lookups_per_sec`` is a conservative
-  wall-clock floor; see docs/RECURSIVE.md).
+* the run reports ``correct: false`` or ``failed > 0``;
+* a baselined pair is missing from the run;
+* a baseline key names a metric ``BENCHMARK.json`` does not define;
+* a value is worse than its baseline by more than ``bound``: below
+  ``(1 - bound) * baseline`` when higher is better, above
+  ``(1 + bound) * baseline`` when lower is better.
 
-For every metric listed in the suite's baseline the script looks up
-the freshly measured value and fails (exit 1) if it fell more than
-``THRESHOLD`` below baseline.  Only host-independent metrics belong in
-a baseline — raw q/s varies with machine speed, so the perf bench
-divides throughput by an in-process interpreter calibration and the
-trace bench gates on a same-host speedup *ratio*.  Improvements are
-reported but never fail; to ratchet a baseline upward, copy the new
-value from the bench file into the baseline in the same PR that earns
-it (see EXPERIMENTS.md).
+ldpbench scales every time by an interpreter calibration sampled in
+the same run, so the numbers carry across hosts that run the Python
+minor version the baseline was recorded on.  Improvements print but
+never fail; EXPERIMENTS.md ("CI bench gate") says how a baseline is
+recorded and ratcheted.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
 
-THRESHOLD = 0.20
+BENCH_DIR = Path(__file__).resolve().parent
+BASELINE_FILE = BENCH_DIR / "baseline.json"
+SPEC_FILE = BENCH_DIR.parent / "BENCHMARK.json"
 
-BENCH_DIR = Path(__file__).parent
-REPO_ROOT = BENCH_DIR.parent
 
-SUITES = {
-    "perf": (REPO_ROOT / "BENCH_perf.json",
-             BENCH_DIR / "perf_baseline.json",
-             "pytest benchmarks/test_bench_perf.py"),
-    "trace": (REPO_ROOT / "BENCH_trace.json",
-              BENCH_DIR / "trace_baseline.json",
-              "pytest benchmarks/test_bench_trace.py"),
-    "live": (REPO_ROOT / "BENCH_live.json",
-             BENCH_DIR / "live_baseline.json",
-             "pytest benchmarks/test_bench_live.py"),
-    "cache": (REPO_ROOT / "BENCH_cache.json",
-              BENCH_DIR / "cache_baseline.json",
-              "pytest benchmarks/test_bench_cache.py"),
-}
+def end_to_end_metrics() -> dict[str, dict]:
+    """BENCHMARK.json's end-to-end metrics, by name."""
+    spec = json.loads(SPEC_FILE.read_text(encoding="utf-8"))
+    return {metric["name"]: metric for metric in spec["end_to_end"]}
+
+
+def last_json_line(path: str | Path) -> dict:
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty; expected ldpbench output")
+    return json.loads(lines[-1])
+
+
+def compare(result: dict, baseline: dict[str, float],
+            metrics: dict[str, dict]) -> tuple[list[str], list[str]]:
+    """Check one ldpbench verdict; return ``(failures, passes)``, one
+    line per check."""
+    failures: list[str] = []
+    passes: list[str] = []
+    if result.get("correct") is not True:
+        failures.append("run reported correct: false")
+    if result.get("failed", 0) > 0:
+        failures.append(f"run reported failed: {result['failed']}")
+    measured = result.get("metrics", {})
+    for key, base in sorted(baseline.items()):
+        metric = metrics.get(key.rpartition("/")[2])
+        if metric is None:
+            failures.append(f"{key}: BENCHMARK.json defines no "
+                            f"end-to-end metric by that name")
+            continue
+        if key not in measured:
+            failures.append(f"{key}: missing from the run")
+            continue
+        value = measured[key]["value"]
+        if metric["better"] == "higher":
+            limit = base * (1 - metric["bound"])
+            worse = value < limit
+        else:
+            limit = base * (1 + metric["bound"])
+            worse = value > limit
+        line = (f"{key}: {value:.6g} vs baseline {base:.6g} "
+                f"(limit {limit:.6g}, {metric['better']} is better)")
+        if worse:
+            failures.append(f"REGRESSION {line}")
+        else:
+            passes.append(f"ok {line}")
+    return failures, passes
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    suite = argv[0] if argv else "perf"
-    if suite not in SUITES:
-        print(f"error: unknown suite {suite!r} "
-              f"(choose from {', '.join(sorted(SUITES))})")
-        return 2
-    bench_file, baseline_file, bench_cmd = SUITES[suite]
-    if not bench_file.exists():
-        print(f"error: {bench_file} not found -- run "
-              f"'{bench_cmd}' first")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("result",
+                        help="ldpbench output (last line: JSON verdict)")
+    args = parser.parse_args(argv)
+    try:
+        result = last_json_line(args.result)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}")
         return 1
-    current = json.loads(bench_file.read_text(encoding="utf-8"))
-    baseline = json.loads(baseline_file.read_text(encoding="utf-8"))
-    failures: list[str] = []
-    for name, base_metrics in sorted(baseline.items()):
-        measured = current.get(name)
-        if measured is None:
-            failures.append(f"{name}: missing from {bench_file.name}")
-            continue
-        for key, base_value in sorted(base_metrics.items()):
-            value = measured.get(key)
-            if value is None:
-                failures.append(f"{name}.{key}: missing from "
-                                f"{bench_file.name}")
-                continue
-            ratio = value / base_value
-            line = (f"{name}.{key}: {value:.2f} vs baseline "
-                    f"{base_value:.2f} ({ratio:.2f}x)")
-            if ratio < 1.0 - THRESHOLD:
-                failures.append(f"REGRESSION {line}")
-            else:
-                print(f"ok {line}")
+    baseline = json.loads(BASELINE_FILE.read_text(encoding="utf-8"))
+    failures, passes = compare(result, baseline, end_to_end_metrics())
+    for line in passes + failures:
+        print(line)
     if failures:
-        print()
-        for failure in failures:
-            print(failure)
-        print(f"\n{suite} gate failed: >{THRESHOLD:.0%} below baseline "
-              f"(see EXPERIMENTS.md for how to investigate/refresh)")
+        print(f"\nbench gate failed: {len(failures)} check(s) "
+              f"(see EXPERIMENTS.md, 'CI bench gate')")
         return 1
-    print(f"{suite} gate passed")
+    print("bench gate passed")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Trace-pipeline throughput bench: records/sec, serial vs parallel.
+"""Trace-pipeline bench: records/sec, and byte identity, three ways.
 
 §3's input engine must pre-process multi-hour root traces, so trace
 transformation throughput matters as much as replay throughput.  This
@@ -16,11 +16,11 @@ names + rebase) over a B-Root analogue trace three ways:
   processes.
 
 All three outputs are asserted **byte-identical** — the speedup is
-free of semantic drift by construction.  Results go to the repo-root
-``BENCH_trace.json`` via :func:`benchmarks.reporting.record_trace`;
-CI gates on ``speedup_vs_serial`` against
-``benchmarks/trace_baseline.json`` (a same-host ratio, so no
-interpreter calibration is needed).
+free of semantic drift by construction.  The rates are printed to
+``benchmarks/_results/``; the throughput CI gates on is ldpbench's
+calibrated ``broot-whatif-tcp/trace_records_per_s`` (the frame-mode
+mutation, which is where the pipeline's speedup comes from; see
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 
-from benchmarks.reporting import record, record_trace
+from benchmarks.reporting import record
 from repro.experiments.harness import root_zone_world
 from repro.trace.binaryform import binary_to_trace, trace_to_binary
 from repro.trace.pipeline import (PrependUnique, RebaseTime,
@@ -87,25 +87,11 @@ def test_bench_trace_throughput():
     serial_rps = records / legacy_wall
     p1_rps = records / p1_wall
     p4_rps = records / p4_wall
-    speedup = p4_rps / serial_rps
-
-    payload = {
-        "records": records,
-        "serial_rps": round(serial_rps, 1),
-        "pipeline1_rps": round(p1_rps, 1),
-        "pipeline4_rps": round(p4_rps, 1),
-        "speedup_vs_serial": round(speedup, 2),
-        "cores": os.cpu_count(),
-        "byte_identical": True,
-    }
-    record_trace("bench_trace", payload)
     record("bench_trace", [
         f"B-Root analogue, {records} records, "
         f"chain = all-TLS + DO=1.0 + unique + rebase",
         f"legacy serial      {serial_rps:>12.0f} records/s",
         f"pipeline --jobs 1  {p1_rps:>12.0f} records/s",
-        f"pipeline --jobs 4  {p4_rps:>12.0f} records/s",
-        f"speedup vs serial  {speedup:>12.2f}x "
+        f"pipeline --jobs 4  {p4_rps:>12.0f} records/s "
         f"({os.cpu_count()} core(s)); outputs byte-identical",
     ])
-    assert speedup >= 3.0

@@ -13,6 +13,8 @@ the ``skipped`` list parameter so tools can summarize what was lost.
 
 from __future__ import annotations
 
+import functools
+
 
 class TraceFormatError(ValueError):
     """Malformed trace input, with its location when known.
@@ -34,6 +36,12 @@ class TraceFormatError(ValueError):
         self.message = message
         self.index = index
         self.offset = offset
+
+    def __reduce__(self):
+        # The location is keyword-only, which default exception
+        # pickling drops; keep class and location across a process pool.
+        return (functools.partial(type(self), index=self.index,
+                                  offset=self.offset), (self.message,))
 
 
 def note_skipped(skipped: list | None, error: TraceFormatError) -> None:

@@ -59,8 +59,11 @@ modes.  Three design rules make that hold:
 A record blob that decodes successfully re-encodes to the same bytes
 (the format has no slack), which is why patching a field inside a frame
 equals re-encoding the patched record.  Malformed frames raise
-:class:`~repro.trace.errors.TraceFormatError` carrying the **global**
-record index and byte offset, no matter which worker hit them.
+:class:`~repro.trace.binaryform.BinaryFormatError` carrying the
+**global** record index and byte offset, whatever the sink, op chain
+or worker that hit them: frame mode checks each frame's layout once
+(:func:`~repro.trace.binaryform.frame_spans`) before any op runs, and
+every other sink decodes each frame once.
 """
 
 from __future__ import annotations
@@ -75,8 +78,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from repro.trace.binaryform import (FLAG_DO, FLAGS_OFFSET, HEADER,
-                                    HEADER_SIZE, PAYLOAD_OFFSET,
+from repro.trace.binaryform import (FIXED_SIZE, FLAG_DO, FLAGS_OFFSET,
+                                    HEADER, HEADER_SIZE, PAYLOAD_OFFSET,
                                     PROTO_OFFSET, TIME_OFFSET,
                                     BinaryFormatError, check_header,
                                     decode_record, encode_record,
@@ -151,7 +154,8 @@ class PipelineOp:
 
     def map_frame(self, blob: bytes, index: int,
                   ctx: PipelineContext) -> bytes:
-        """Rewrite one raw LDPB record blob (no length prefix)."""
+        """Rewrite one raw LDPB record blob (no length prefix).  The
+        executor has already checked that the blob's fields tile it."""
         raise NotImplementedError
 
     def apply(self, trace: Trace) -> Trace:
@@ -193,8 +197,9 @@ class SetProtocol(PipelineOp):
         return record
 
     def map_frame(self, blob, index, ctx):
-        src_off, src_len, *_ = frame_spans(blob)
-        if not self._converts(bytes(blob[src_off:src_off + src_len])):
+        src_len = blob[FIXED_SIZE]
+        src = bytes(blob[FIXED_SIZE + 1:FIXED_SIZE + 1 + src_len])
+        if not self._converts(src):
             return blob
         proto_idx = PROTOCOLS.index(self.proto)
         if blob[PROTO_OFFSET] == proto_idx:
@@ -233,7 +238,6 @@ class SetDoFraction(PipelineOp):
         return record.with_(do=False)
 
     def map_frame(self, blob, index, ctx):
-        frame_spans(blob)  # structural validation
         out = bytearray(blob)
         if self._sets(index):
             out[FLAGS_OFFSET] |= FLAG_DO
@@ -288,7 +292,6 @@ class ScaleTime(PipelineOp):
         return record.with_(time=t0 + (record.time - t0) * self.factor)
 
     def map_frame(self, blob, index, ctx):
-        frame_spans(blob)
         (t,) = struct.unpack_from("!d", blob, TIME_OFFSET)
         t0 = ctx.first_time
         out = bytearray(blob)
@@ -313,7 +316,6 @@ class RebaseTime(PipelineOp):
                             + (self.start - ctx.first_time))
 
     def map_frame(self, blob, index, ctx):
-        frame_spans(blob)
         (t,) = struct.unpack_from("!d", blob, TIME_OFFSET)
         out = bytearray(blob)
         struct.pack_into("!d", out, TIME_OFFSET,
@@ -409,14 +411,39 @@ class _CompiledChain:
         return (not self.skip_malformed
                 and all(op.frame_capable for op in self.ops))
 
-    def run_frames(self, buf, chunk: _Chunk) -> tuple[bytes, int, int]:
-        """Frame mode: patch/splice blobs, never build a QueryRecord."""
+    def run_chunk(self, buf, chunk: _Chunk, mode: str):
+        """Run one chunk; both executors call this.  *mode* is "binary"
+        (payload: LDPB frames), "records" (a list of QueryRecords) or
+        "stats" (a StreamingStats).  Returns ``(payload, records_out,
+        skipped, worker_seconds)``."""
+        started = _time.perf_counter()
+        skipped: list[TraceFormatError] = []
+        if mode == "binary" and self.frame_mode:
+            payload, n_out = self.run_frames(buf, chunk), chunk.records
+        elif mode == "binary":
+            payload, n_out = self.run_records(buf, chunk, skipped)
+        elif mode == "stats":
+            from repro.trace.stats import StreamingStats
+            payload = StreamingStats()
+            for record, _ in self.iter_records(buf, chunk, skipped):
+                payload.update(record)
+            n_out = payload.records
+        else:
+            payload = [record for record, _ in
+                       self.iter_records(buf, chunk, skipped)]
+            n_out = len(payload)
+        return payload, n_out, skipped, _time.perf_counter() - started
+
+    def run_frames(self, buf, chunk: _Chunk) -> bytes:
+        """Frame mode: check each frame's layout once, then patch/splice
+        blobs; never build a QueryRecord."""
         out = bytearray()
         index = chunk.base_index
         for offset, length in scan_frames(buf, chunk.start, chunk.end,
                                           base_index=chunk.base_index):
             blob = buf[offset + 2:offset + 2 + length]
             try:
+                frame_spans(blob)
                 for op in self.ops:
                     blob = op.map_frame(blob, index, self.ctx)
             except BinaryFormatError as exc:
@@ -429,19 +456,14 @@ class _CompiledChain:
             out += struct.pack("!H", len(blob))
             out += blob
             index += 1
-        n = index - chunk.base_index
-        return bytes(out), n, n
+        return bytes(out)
 
-    def run_records(self, buf, chunk: _Chunk) \
-            -> tuple[bytes, int, int, list[TraceFormatError]]:
+    def run_records(self, buf, chunk: _Chunk,
+                    skipped: list[TraceFormatError]) -> tuple[bytes, int]:
         """Record mode: decode once, run the chain, encode once."""
         out = bytearray()
-        skipped: list[TraceFormatError] = []
-        n_in = n_out = 0
+        n_out = 0
         for record, index in self.iter_records(buf, chunk, skipped):
-            n_in += 1
-            if record is None:
-                continue
             blob = encode_record(record)
             if len(blob) > 0xFFFF:
                 raise BinaryFormatError(
@@ -449,15 +471,14 @@ class _CompiledChain:
             out += struct.pack("!H", len(blob))
             out += blob
             n_out += 1
-        n_in += len(skipped)
-        return bytes(out), n_in, n_out, skipped
+        return bytes(out), n_out
 
     def iter_records(self, buf, chunk: _Chunk,
-                     skipped: list[TraceFormatError] | None) \
-            -> Iterator[tuple[QueryRecord | None, int]]:
-        """Decode + apply chain; yields ``(record_or_None, index)``
-        (``None`` = dropped by a filter).  Malformed frames raise with
-        their global index, or are collected when skipping."""
+                     skipped: list[TraceFormatError]) \
+            -> Iterator[tuple[QueryRecord, int]]:
+        """Decode + apply chain; yields ``(record, index)`` for every
+        record no filter dropped.  Malformed frames raise with their
+        global index, or are collected when skipping."""
         index = chunk.base_index
         for offset, length in scan_frames(buf, chunk.start, chunk.end,
                                           base_index=chunk.base_index):
@@ -469,10 +490,11 @@ class _CompiledChain:
                                           offset=offset)
                 if not self.skip_malformed:
                     raise error from exc
-                note_skipped(skipped, error)
-                index += 1
-                continue
-            yield self.apply_record(record, index), index
+                skipped.append(error)
+            else:
+                record = self.apply_record(record, index)
+                if record is not None:
+                    yield record, index
             index += 1
 
     def apply_record(self, record: QueryRecord,
@@ -506,42 +528,12 @@ def _init_worker(source: tuple[str, object], chain_blob: bytes,
                "chain": pickle.loads(chain_blob), "mode": mode}
 
 
-def _error_tuple(exc: TraceFormatError) -> tuple[str, int | None,
-                                                 int | None]:
-    # TraceFormatError's keyword-only constructor does not survive
-    # pickling through a pool, so errors cross the process boundary as
-    # plain tuples and are re-raised (with their global index intact)
-    # in the parent.
-    return exc.message, exc.index, exc.offset
-
-
-def _run_chunk(chunk: _Chunk):
+def _worker_chunk(chunk: _Chunk):
+    # Errors, raised or skipped, pickle with their class and location
+    # (TraceFormatError.__reduce__), so the pool hands them back intact.
     assert _WORKER is not None
-    chain: _CompiledChain = _WORKER["chain"]
-    buf = _WORKER["buf"]
-    started = _time.perf_counter()
-    try:
-        if _WORKER["mode"] == "stats":
-            from repro.trace.stats import StreamingStats
-            stats = StreamingStats()
-            skipped: list[TraceFormatError] = []
-            for record, _ in chain.iter_records(buf, chunk, skipped):
-                if record is not None:
-                    stats.update(record)
-            elapsed = _time.perf_counter() - started
-            return ("ok", stats, chunk.records,
-                    [_error_tuple(e) for e in skipped], elapsed)
-        if chain.frame_mode:
-            out, n_in, n_out = chain.run_frames(buf, chunk)
-            skipped = []
-        else:
-            out, n_in, n_out, skipped = chain.run_records(buf, chunk)
-        elapsed = _time.perf_counter() - started
-        return ("ok", out, (n_in, n_out),
-                [_error_tuple(e) for e in skipped], elapsed)
-    except TraceFormatError as exc:
-        return ("error", _error_tuple(exc), None, None,
-                _time.perf_counter() - started)
+    return _WORKER["chain"].run_chunk(_WORKER["buf"], chunk,
+                                      _WORKER["mode"])
 
 
 # -- results ---------------------------------------------------------------
@@ -766,16 +758,9 @@ class TracePipeline:
             chunks.append(_Chunk(start, end, base, count))
         return chunks
 
-    def _note_skipped_tuples(self, tuples) -> int:
-        for message, index, offset in tuples:
-            note_skipped(self._skipped, TraceFormatError(
-                message, index=index, offset=offset))
-        return len(tuples)
-
     def _run_chunked(self, mode: str):
         """Run the chunked executor; yields per-chunk payloads in input
-        order.  ``mode`` is "binary" (payload: frame bytes) or "stats"
-        (payload: StreamingStats)."""
+        order (see :meth:`_CompiledChain.run_chunk` for *mode*)."""
         buf, cleanup = self._open_buffer()
         result = PipelineResult()
         try:
@@ -784,91 +769,48 @@ class TracePipeline:
             ctx = self._context(
                 buf, chunks[0].start if chunks else None)
             chain = _CompiledChain(self._ops, ctx, self.skip_malformed)
-            if mode == "stats" or not chain.frame_mode:
-                self._check_picklable(chain)
             result.chunks = len(chunks)
-            if self.jobs == 1 or len(chunks) <= 1:
-                yield from self._run_chunks_inline(buf, chunks, chain,
-                                                   mode, result)
+            chain_blob = self._pickle_chain(chain) if self.jobs > 1 \
+                else None
+            if chain_blob is None or len(chunks) <= 1:
+                outcomes = (chain.run_chunk(buf, chunk, mode)
+                            for chunk in chunks)
             else:
-                yield from self._run_chunks_pool(chunks, chain, mode,
-                                                 result)
+                outcomes = self._run_pool(chunks, chain_blob, mode)
+            for chunk, (payload, n_out, skipped, seconds) in zip(
+                    chunks, outcomes):
+                result.worker_seconds += seconds
+                result.records_in += chunk.records
+                result.records_out += n_out
+                result.skipped += len(skipped)
+                for error in skipped:
+                    note_skipped(self._skipped, error)
+                yield payload
         finally:
             cleanup()
             self.last_result = result
             self._record_metrics(result)
 
-    def _check_picklable(self, chain: _CompiledChain) -> None:
-        if self.jobs == 1:
-            return
+    @staticmethod
+    def _pickle_chain(chain: _CompiledChain) -> bytes:
         try:
-            pickle.dumps(chain)
+            return pickle.dumps(chain)
         except Exception as exc:
             raise ValueError(
                 "pipeline ops must be picklable for jobs > 1 (use "
                 "module-level functions for filter/map predicates, or "
                 "run with jobs=1)") from exc
 
-    def _run_chunks_inline(self, buf, chunks, chain, mode, result):
-        for chunk in chunks:
-            if mode == "stats":
-                from repro.trace.stats import StreamingStats
-                stats = StreamingStats()
-                skipped: list[TraceFormatError] = []
-                started = _time.perf_counter()
-                for record, _ in chain.iter_records(buf, chunk, skipped):
-                    if record is not None:
-                        stats.update(record)
-                result.worker_seconds += _time.perf_counter() - started
-                result.records_in += chunk.records
-                result.records_out += stats.records
-                for error in skipped:
-                    if not self.skip_malformed:
-                        raise error
-                    note_skipped(self._skipped, error)
-                result.skipped += len(skipped)
-                yield stats
-            else:
-                started = _time.perf_counter()
-                if chain.frame_mode:
-                    out, n_in, n_out = chain.run_frames(buf, chunk)
-                    skipped = []
-                else:
-                    out, n_in, n_out, skipped = chain.run_records(
-                        buf, chunk)
-                result.worker_seconds += _time.perf_counter() - started
-                result.records_in += n_in
-                result.records_out += n_out
-                for error in skipped:
-                    note_skipped(self._skipped, error)
-                result.skipped += len(skipped)
-                yield out
-
-    def _run_chunks_pool(self, chunks, chain, mode, result):
+    def _run_pool(self, chunks, chain_blob: bytes, mode: str):
         import multiprocessing as mp
         if self._source.kind == "file":
             source = ("file", self._source.path)
         else:
             source = ("bytes", self._source.data)
-        chain_blob = pickle.dumps(chain)
-        ctx = mp.get_context()
-        with ctx.Pool(processes=self.jobs, initializer=_init_worker,
-                      initargs=(source, chain_blob, mode)) as pool:
-            for status, payload, counts, skipped, elapsed in pool.imap(
-                    _run_chunk, chunks, chunksize=1):
-                result.worker_seconds += elapsed
-                if status == "error":
-                    message, index, offset = payload
-                    raise TraceFormatError(message, index=index,
-                                           offset=offset)
-                result.skipped += self._note_skipped_tuples(skipped)
-                if mode == "stats":
-                    result.records_in += counts
-                    result.records_out += payload.records
-                else:
-                    result.records_in += counts[0]
-                    result.records_out += counts[1]
-                yield payload
+        with mp.get_context().Pool(
+                processes=self.jobs, initializer=_init_worker,
+                initargs=(source, chain_blob, mode)) as pool:
+            yield from pool.imap(_worker_chunk, chunks, chunksize=1)
 
     def _record_metrics(self, result: PipelineResult) -> None:
         obs = self._observer
@@ -921,19 +863,11 @@ class TracePipeline:
         return self.records()
 
     def records(self) -> Iterator[QueryRecord]:
-        """Iterate output records (decodes merged frames when the
-        chunked executor ran)."""
+        """Iterate output records (chunked sources decode each input
+        frame once, in record mode)."""
         if not self.chunkable:
             return self._stream_records()
-
-        def decode_chunks():
-            for frames in self._run_chunked("binary"):
-                pos = 0
-                while pos < len(frames):
-                    (length,) = struct.unpack_from("!H", frames, pos)
-                    yield decode_record(frames[pos + 2:pos + 2 + length])
-                    pos += 2 + length
-        return decode_chunks()
+        return itertools.chain.from_iterable(self._run_chunked("records"))
 
     def collect(self) -> Trace:
         """Materialize the output as a :class:`Trace` (legacy-style

@@ -15,9 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dns.constants import RRType
 from repro.obs import Observer
-from repro.trace.binaryform import (HEADER_SIZE, scan_frames,
-                                    trace_to_binary)
-from repro.trace.errors import TraceFormatError
+from repro.trace.binaryform import (HEADER_SIZE, BinaryFormatError,
+                                    scan_frames, trace_to_binary)
 from repro.trace.pipeline import (FilterRecords, PrependUnique,
                                   RebaseTime, ScaleTime, SetDoFraction,
                                   SetProtocol, SetQnameSuffix,
@@ -197,13 +196,20 @@ def corrupt_record(data: bytes, index: int) -> bytes:
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
-def test_malformed_frame_reports_global_index(jobs, tmp_path):
+def test_malformed_frame_reports_global_index(jobs):
+    """Every sink rejects a malformed frame, with or without ops, as
+    the same BinaryFormatError at the same global index and offset;
+    an empty chain must still check every frame."""
     data = trace_to_binary(make_trace(50))
     bad = corrupt_record(data, 37)
+    offset = list(scan_frames(data))[37][0]
     pipe = TracePipeline.from_binary(bad, jobs=jobs, chunk_records=8)
-    with pytest.raises(TraceFormatError) as exc_info:
-        pipe.pipe(SetDoFraction(1.0)).to_binary()
-    assert exc_info.value.index == 37
+    for ops in [(), (SetDoFraction(1.0),)]:
+        for sink in ["to_binary", "collect", "stats"]:
+            with pytest.raises(BinaryFormatError) as exc_info:
+                getattr(pipe.pipe(*ops), sink)()
+            assert (exc_info.value.index, exc_info.value.offset) == \
+                (37, offset), (ops, sink)
 
 
 @pytest.mark.parametrize("jobs", [1, 3])
